@@ -5,8 +5,7 @@ itself.  Three layers are metered:
 
 * kernel-only ingest: ``AllocationKernel.apply`` in a loop vs.
   ``apply_batch`` at several batch sizes (amortised metering/bookkeeping),
-* columnar ingest: ``apply_batch`` under every non-python backend the
-  environment offers (``numpy`` always, ``numba`` when installed) — the
+* columnar ingest: ``apply_batch`` under the ``numpy`` backend — the
   structure-of-arrays hot path of :mod:`repro.kernel.columnar`,
 * journaled ingest: ``AllocationSession.push`` with ``fsync=always`` vs.
   ``push_batch`` under group commit (``fsync=batch``) and interval

@@ -12,14 +12,15 @@ same kernel.
 
 Durability: give the session a journal path and every absorbed event is
 appended — fsync'd — to a :class:`~repro.sim.checkpoint.CheckpointJournal`
-before the decision is returned, with a full kernel snapshot embedded
-every ``snapshot_interval`` events.  If the process dies, constructing a
+before the decision is returned, with a state digest embedded every
+``snapshot_interval`` events and a full kernel snapshot every
+``full_snapshot_interval``.  If the process dies, constructing a
 session with the same configuration and journal path *resumes* it: the
 journaled events are replayed through a fresh kernel and algorithm (the
 :class:`~repro.core.base.AllocationAlgorithm` contract guarantees
 algorithms are deterministic functions of the event history), and every
-embedded snapshot is digest-verified against the replayed kernel state —
-a mismatch (different code, different config, corrupted journal) is a
+embedded snapshot and digest is verified against the replayed state — a
+mismatch (different code, different config, corrupted journal) is a
 hard :class:`~repro.errors.CheckpointError`, never a silently different
 run.  The resumed session then continues to the same final metrics the
 uninterrupted run would have produced.
@@ -99,9 +100,12 @@ class AllocationSession:
         session **resumes** from it (see the module docstring); the
         journal fingerprint pins machine, algorithm and ``d``, so resuming
         with a different configuration is refused.
-    snapshot_interval:
-        Embed a full kernel snapshot in the journal every this many
-        events (0 disables embedded snapshots; resume still replays).
+    snapshot_interval, full_snapshot_interval:
+        Embed an O(1) state digest in the journal every
+        ``snapshot_interval`` events and a full kernel snapshot every
+        ``full_snapshot_interval`` (default 16x the former); resume
+        verifies both.  0 disables that kind of rider; resume still
+        replays.
     fsync_policy:
         Journal durability mode (``always`` | ``batch`` |
         ``interval:<ms>``, see :class:`~repro.sim.checkpoint.
@@ -112,7 +116,7 @@ class AllocationSession:
         records since the last commit: one uncommitted batch.
     batch_backend:
         Execution strategy for :meth:`push_batch`'s kernel ingest
-        (``python`` | ``numpy`` | ``numba``, see
+        (``python`` | ``numpy``, see
         :class:`~repro.kernel.core.AllocationKernel`).  Decisions and
         journals are bit-identical across backends, so the backend is a
         per-process tuning knob — it is deliberately *not* part of the
@@ -139,7 +143,6 @@ class AllocationSession:
         collect_leaf_snapshots: bool = True,
         repack_on_repair: bool = True,
         fsync_policy: str = "always",
-        journal_format: str = "v2",
         full_snapshot_interval: Optional[int] = None,
         batch_backend: str = "python",
         slo: Optional[SLOPolicy] = None,
@@ -185,11 +188,9 @@ class AllocationSession:
         self._journal_seq = 0
         self._overloaded = False
         self._snapshot_interval = max(0, int(snapshot_interval))
-        # v2 journals split the old single interval in two: cheap O(1)
-        # delta records every ``snapshot_interval`` events and a full
-        # pickled kernel snapshot only every ``full_snapshot_interval``
-        # (default 16x).  v1 journals keep the original semantics (every
-        # interval embeds a full snapshot).
+        # Two embedding intervals: cheap O(1) delta records every
+        # ``snapshot_interval`` events and a full pickled kernel snapshot
+        # only every ``full_snapshot_interval`` (default 16x).
         if full_snapshot_interval is None:
             full_snapshot_interval = 16 * self._snapshot_interval
         self._full_snapshot_interval = max(0, int(full_snapshot_interval))
@@ -201,7 +202,6 @@ class AllocationSession:
                 journal_path,
                 fingerprint=self._fingerprint(),
                 fsync_policy=fsync_policy,
-                format=journal_format,
             )
             if resuming:
                 self._replay_journal()
@@ -618,10 +618,16 @@ class AllocationSession:
         loads the previous one left), so SLO batches take the per-event
         path; the journal still group-commits under the ``batch`` /
         ``interval`` fsync policies, which is where batch throughput
-        lives.  A record that raises leaves the preceding records fully
+        lives: under ``batch`` the whole batch commits once on return
+        (also when a record raises), under ``interval`` the timer still
+        decides.  A record that raises leaves the preceding records fully
         applied, exactly like the per-event path.
         """
-        return [self.offer(record) for record in records]
+        try:
+            return [self.offer(record) for record in records]
+        finally:
+            if self._journal is not None and self._journal.fsync_policy == "batch":
+                self._journal.commit()
 
     def push_batch(
         self, records: Sequence[Mapping[str, Any]]
@@ -749,7 +755,7 @@ class AllocationSession:
         """Columnar wire-batch ingest: the journal fast path.
 
         One pass builds the kernel events *and* the packed column arrays
-        the v2 journal frames directly — no normalised per-record dicts
+        the journal frames directly — no normalised per-record dicts
         on the hot path.  The whole batch lands in the journal as a
         single :meth:`~repro.sim.checkpoint.CheckpointJournal.
         record_batch_blob` frame, which a resume decodes to exactly the
@@ -758,15 +764,13 @@ class AllocationSession:
 
         Returns ``None`` *before any state change* whenever a record
         falls outside the hot schema — fault/resize kinds, implicit
-        times or ids, clock regressions, malformed fields — or the
-        journal is v1; the caller then redoes the batch on the general
-        path, reproducing the exact error text and prefix semantics.
+        times or ids, clock regressions, malformed fields; the caller
+        then redoes the batch on the general path, reproducing the exact
+        error text and prefix semantics.
         A mid-batch kernel failure commits and journals the applied
         prefix (as the general path would) and re-raises.
         """
         journal = self._journal
-        if journal is not None and journal.format != "v2":
-            return None
         n = len(records)
         if n == 0:
             return None
@@ -900,21 +904,12 @@ class AllocationSession:
             f"record kind {kind!r} is not routable to a shard session"
         )
 
-    def push_routed(self, record: Mapping[str, Any]) -> Decision:
-        """Absorb one coordinator-routed record (shard-worker intake).
-
-        The single-record form of :meth:`push_routed_batch`, with the same
-        verbatim journaling contract.
-        """
-        norm = dict(record)
-        return self._absorb(self._routed_event(norm), norm)
-
     def push_routed_batch(
         self, records: Sequence[Mapping[str, Any]], *, want_decisions: bool = True
     ) -> list[Decision]:
         """Absorb a batch of coordinator-routed records, one group commit.
 
-        Bit-identical to :meth:`push_routed` per record; the journal
+        Bit-identical to absorbing each record on its own; the journal
         absorbs the batch via :meth:`CheckpointJournal.record_many` (one
         write, one fsync) — this is where sharded journaled throughput
         comes from.  If a record fails, the applied prefix is journaled
@@ -976,7 +971,7 @@ class AllocationSession:
         batch is eligible for the vectorized kernel path — the *same*
         encoded blob is framed into the journal without materialising a
         single per-record dict.  Ineligible batches (clock regressions,
-        invalid placements, v1 journals) fall back to the per-record
+        invalid placements) fall back to the per-record
         path, which reproduces the exact error text and prefix semantics.
         """
         fast = self._push_routed_columns(cols, want_decisions)
@@ -992,8 +987,6 @@ class AllocationSession:
         batch must take the general per-record path."""
         journal = self._journal
         if self._slo is not None:
-            return None
-        if journal is not None and journal.format != "v2":
             return None
         n = cols.n
         if n == 0:
@@ -1068,7 +1061,7 @@ class AllocationSession:
 
     def _delta_state(self) -> dict[str, Any]:
         """O(1) digest of the session/kernel scalars, journaled between
-        full snapshots (v2 ``delta`` riders) and re-verified on resume.
+        full snapshots (``delta`` riders) and re-verified on resume.
 
         Deliberately cheap: counters and running loads only, no per-task
         state — a divergence in any replayed event perturbs at least one
@@ -1094,26 +1087,19 @@ class AllocationSession:
 
         ``base`` is ``len(self._events)`` before the batch; a rider is due
         when the batch crosses an interval boundary (for ``count == 1``
-        this is exactly the old ``len % interval == 0`` schedule).  v1
-        journals keep the original contract — a full kernel snapshot
-        every ``snapshot_interval`` — while v2 journals embed a cheap
-        :meth:`_delta_state` there and reserve full snapshots for
-        ``full_snapshot_interval`` crossings.
+        this is exactly the ``len % interval == 0`` schedule): a cheap
+        :meth:`_delta_state` on ``snapshot_interval`` crossings, a full
+        kernel snapshot on ``full_snapshot_interval`` crossings.
         """
         if self._journal is None or count <= 0:
             return None
         end = base + count
-        if self._journal.format == "v2":
-            full = self._full_snapshot_interval
-            if full and end // full > base // full:
-                return {"snapshot": self.kernel.snapshot()}
-            interval = self._snapshot_interval
-            if interval and end // interval > base // interval:
-                return {"delta": self._delta_state()}
-            return None
+        full = self._full_snapshot_interval
+        if full and end // full > base // full:
+            return {"snapshot": self.kernel.snapshot()}
         interval = self._snapshot_interval
         if interval and end // interval > base // interval:
-            return {"snapshot": self.kernel.snapshot()}
+            return {"delta": self._delta_state()}
         return None
 
     # -- Resume --------------------------------------------------------------

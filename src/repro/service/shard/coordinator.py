@@ -168,8 +168,8 @@ def _peek_payloads(path: Union[str, Path]) -> list[dict[str, Any]]:
     """Read a journal's record payloads without opening it for append.
 
     Delegates to :func:`repro.sim.frames.iter_journal_payloads`, which
-    sniffs the format (v1 JSONL or v2 binary frames) and applies the
-    journals' corrupt-tail tolerance and last-wins duplicate contract.
+    applies the journals' corrupt-tail tolerance and last-wins duplicate
+    contract.
     Returns dict payloads in index order.
     """
     by_index: dict[int, dict[str, Any]] = {}
@@ -302,7 +302,6 @@ class ShardedCoordinator:
                 journal_path,
                 fingerprint=self._fingerprint(),
                 fsync_policy=fsync_policy,
-                format="v2",
             )
             self._drop_coordinator_tail(cutoff)
         if resume_events:

@@ -14,7 +14,7 @@ Protocol — length-prefixed CRC'd frames (:mod:`repro.sim.frames`) over
 an inherited socketpair, strictly FIFO in both directions:
 
 * ``MSG_ROUTED`` — a columnar routed batch (the hot path): the *same*
-  encoding the v2 journal uses, so the worker decodes the columns once
+  encoding the journal uses, so the worker decodes the columns once
   and frames the identical bytes into its journal without re-encoding
   (:meth:`AllocationSession.push_routed_columns`).  Acked with
   ``{"ok": "apply"}`` once applied and journaled (group commit).  The
@@ -29,10 +29,10 @@ an inherited socketpair, strictly FIFO in both directions:
 * Replies are ``MSG_JSON`` acks (``{"ok": ...}`` / ``{"err": ...}``) or
   ``MSG_PICKLE`` data payloads (kernel snapshots with tuple keys,
   ``NodeId`` maps — pickled whole, so replies compare bit-identically
-  against in-process workers, without v1's base64-in-JSON detour).
+  against in-process workers).
 * Worker-side failures answer ``{"err": message}``; the parent raises
-  :class:`~repro.errors.ShardError`.  EOF or a torn frame (the worker
-  died — SIGKILL, OOM) raises the same, and the journals on disk remain
+  :class:`~repro.errors.ShardError`.  EOF, a torn frame or a reset
+  socket (the worker died — SIGKILL, OOM) raises the same, and the journals on disk remain
   the source of truth: reopening the cluster reconciles the durable
   prefix.
 """
@@ -256,8 +256,9 @@ class ProcessShard:
     def _read_reply(self) -> dict[str, Any]:
         try:
             msg = read_frame(self._reader)
-        except FrameError:
-            msg = None  # worker died mid-frame: same as EOF
+        except (FrameError, OSError):
+            # The worker died mid-frame or reset the socket: same as EOF.
+            msg = None
         if msg is None:
             raise ShardError(
                 f"shard {self.index} worker (pid {self.process.pid}) died "

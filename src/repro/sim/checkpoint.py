@@ -9,15 +9,8 @@ it instead of recomputing them.  Because the executors in
 a resumed run produces **bit-identical** final results to an uninterrupted
 one: the journal only short-circuits work, never changes it.
 
-Two on-disk formats share one API and one recovery contract:
-
-**v1 — JSONL** (the original)::
-
-    {"kind": "repro-checkpoint", "version": 1, "fingerprint": "<sha256>", ...}
-    {"cell": 17, "json": {...}}                     # JSON-safe payloads
-    {"cell": 3,  "data": "<base64(pickle(result))>"}  # everything else
-
-**v2 — binary frames** (:mod:`repro.sim.frames`)::
+The on-disk format is a sequence of binary frames
+(:mod:`repro.sim.frames`)::
 
     b"RJF2\\x00"
     [u32 len | u8 kind | u32 crc32] header-JSON       (FRAME_HEADER)
@@ -25,13 +18,11 @@ Two on-disk formats share one API and one recovery contract:
     [u32 len | u8 kind | u32 crc32] pickle(idx, val)  (FRAME_PICKLE)
     ...
 
-v2 detects a torn tail *structurally* — a frame whose length prefix runs
-past EOF or whose payload fails its CRC — instead of relying on a JSON
-parse error, and it group-commits whole batches as single columnar
-frames.  **Format negotiation**: an existing file's format always wins
-(sniffed from its first bytes), so v1 journals written by older builds
-keep opening and resuming bit-identically; the ``format`` argument only
-chooses the layout of *new* files.
+A torn tail is detected *structurally* — a frame whose length prefix
+runs past EOF or whose payload fails its CRC — and whole batches
+group-commit as single columnar frames.  A file that does not start with
+the frame magic (a JSONL journal from an older build, or any other file)
+is refused, never truncated or misread.
 
 * The **header** pins a fingerprint of the workload (callable identity,
   cell parameters, seed streams).  Resuming against a different workload
@@ -57,7 +48,6 @@ exactly, instead of misreading it.
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import os
@@ -66,22 +56,19 @@ import struct
 import time
 import warnings
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.errors import CheckpointError
 from repro.sim import frames as _frames
 
 __all__ = ["CheckpointJournal", "workload_fingerprint"]
 
-#: Bump when the v1 JSONL layout changes incompatibly.
-JOURNAL_VERSION = 1
-
-#: Header version written into v2 framed journals.
-JOURNAL_VERSION_V2 = 2
+#: Header version of the framed journal; bump on incompatible changes.
+JOURNAL_VERSION = 2
 
 _HEADER_KIND = "repro-checkpoint"
 _I64 = struct.Struct("<q")
-_SCALARS = (str, int, float, bool, type(None))
+_PICKLE_PROTO = pickle.HIGHEST_PROTOCOL
 
 
 def _parse_fsync_policy(spec: str) -> tuple[str, float]:
@@ -103,26 +90,6 @@ def _parse_fsync_policy(spec: str) -> tuple[str, float]:
         f"unknown fsync policy {spec!r}; expected 'always', 'batch', "
         "or 'interval:<ms>'"
     )
-
-
-def _json_roundtrips(value: Any) -> bool:
-    """Would ``json.loads(json.dumps(value))`` return ``value`` exactly?
-
-    ``json.dumps`` silently *coerces* rather than failing for the lossy
-    cases — tuples become lists, int dict keys become strings — so a
-    try/except around ``dumps`` cannot guard a bit-identical resume.
-    This structural check admits only the JSON-native types, and lets
-    :meth:`CheckpointJournal.record` store plain dict payloads as raw
-    JSON (one encode) instead of pickle + base64 (~1.8x the bytes).
-    """
-    t = type(value)
-    if t is dict:
-        return all(
-            type(k) is str and _json_roundtrips(v) for k, v in value.items()
-        )
-    if t is list:
-        return all(_json_roundtrips(v) for v in value)
-    return t in _SCALARS
 
 
 def workload_fingerprint(
@@ -173,12 +140,6 @@ class CheckpointJournal:
     :meth:`commit` / :meth:`record_many` / :meth:`close`, and
     ``interval:<ms>`` syncs whenever that much wall time has elapsed
     since the last sync.
-
-    ``format`` chooses the on-disk layout for **new** files: ``"v1"``
-    (JSONL, the default — what :mod:`repro.sim.parallel` has always
-    written) or ``"v2"`` (binary frames — what the service sessions
-    write).  An existing file is always opened in whatever format it
-    already is; the negotiated result is exposed as :attr:`format`.
     """
 
     def __init__(
@@ -187,12 +148,7 @@ class CheckpointJournal:
         *,
         fingerprint: Mapping[str, Any],
         fsync_policy: str = "always",
-        format: Optional[str] = None,
     ):
-        if format not in (None, "v1", "v2"):
-            raise CheckpointError(
-                f"unknown journal format {format!r}; expected 'v1' or 'v2'"
-            )
         self.path = Path(path)
         self._policy, self._interval_s = _parse_fsync_policy(fsync_policy)
         self.fsync_policy = fsync_policy
@@ -207,175 +163,61 @@ class CheckpointJournal:
         # materializing per-record payloads.
         self._max_index = -1
         self._fh = None
-        self.format = format or "v1"
         if self.path.exists():
             self._load_existing()
         else:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             header = {
                 "kind": _HEADER_KIND,
-                "version": (
-                    JOURNAL_VERSION_V2 if self.format == "v2" else JOURNAL_VERSION
-                ),
+                "version": JOURNAL_VERSION,
                 "fingerprint": self._digest,
                 "workload": self._fingerprint,
             }
-            if self.format == "v2":
-                self._fh = open(self.path, "ab")
-                self._fh.write(
-                    _frames.JOURNAL_MAGIC
-                    + _frames.frame_bytes(
-                        _frames.FRAME_HEADER,
-                        json.dumps(header, sort_keys=True, default=repr).encode(
-                            "utf-8"
-                        ),
-                    )
+            self._fh = open(self.path, "ab")
+            self._fh.write(
+                _frames.JOURNAL_MAGIC
+                + _frames.frame_bytes(
+                    _frames.FRAME_HEADER,
+                    json.dumps(header, sort_keys=True, default=repr).encode("utf-8"),
                 )
-                self._sync()
-            else:
-                self._fh = open(self.path, "a", encoding="utf-8")
-                self._write_line(json.dumps(header, sort_keys=True, default=repr))
+            )
+            self._sync()
 
     # -- Opening / recovery -------------------------------------------------
 
     def _load_existing(self) -> None:
-        # Format negotiation: the file's first bytes win over the
-        # requested format — a v1 journal stays v1 for its lifetime.
-        with open(self.path, "rb") as fh:
-            head = fh.read(len(_frames.JOURNAL_MAGIC))
-        if head == _frames.JOURNAL_MAGIC:
-            self.format = "v2"
-            self._load_existing_v2()
-        elif head.startswith(b"{"):
-            self.format = "v1"
-            self._load_existing_v1()
-        else:
+        decoded = _frames.decode_journal(self.path.read_bytes())
+        if decoded.header is None:
             raise CheckpointError(
-                f"checkpoint {self.path} contains no readable header"
+                f"checkpoint {self.path} contains no readable header "
+                f"({decoded.bad_reason}): it is not a framed journal "
+                "(JSONL journals from older builds are no longer read); "
+                "delete it or move it aside"
             )
-
-    def _load_existing_v1(self) -> None:
-        raw = self.path.read_text(encoding="utf-8")
-        good_chars = 0  # byte offset (in chars) of the validated prefix
-        offset = 0
-        header: Optional[dict] = None
-        bad_reason: Optional[str] = None
-        for lineno, piece in enumerate(raw.splitlines(keepends=True), start=1):
-            line = piece.rstrip("\n")
-            if not piece.endswith("\n"):
-                # Every record is written as one ``line + "\n"`` — a final
-                # line without its newline is the partial write of a crash,
-                # even in the unlikely case it parses as complete JSON.
-                bad_reason = f"line {lineno}: truncated final record"
-                break
-            try:
-                record = json.loads(line)
-                if header is None:
-                    header = record
-                    index = None
-                else:
-                    index = int(record["cell"])
-                    if "json" in record:
-                        value = record["json"]
-                    else:
-                        value = pickle.loads(base64.b64decode(record["data"]))
-            except Exception as exc:
-                bad_reason = f"line {lineno}: {type(exc).__name__}: {exc}"
-                break
-            if header is record:
-                self._check_header(header, JOURNAL_VERSION)
-            elif index is not None:
-                self._completed[index] = value
-            offset += len(piece)
-            good_chars = offset
-        if header is None:
-            raise CheckpointError(
-                f"checkpoint {self.path} contains no readable header"
-            )
-        if bad_reason is not None:
-            warnings.warn(
-                f"checkpoint {self.path}: truncating corrupt tail ({bad_reason}); "
-                f"{len(self._completed)} completed cell(s) retained",
-                stacklevel=3,
-            )
-            with open(self.path, "r+", encoding="utf-8") as fh:
-                fh.truncate(good_chars)
-        if self._completed:
-            self._max_index = max(self._completed)
-        self._fh = open(self.path, "a", encoding="utf-8")
-
-    def _load_existing_v2(self) -> None:
-        data = self.path.read_bytes()
-        frames, good_end, bad_reason = _frames.scan_frames(
-            data, len(_frames.JOURNAL_MAGIC)
-        )
-        header: Optional[dict] = None
-        for kind, payload, pos in frames:
-            try:
-                if kind == _frames.FRAME_HEADER:
-                    if header is None:
-                        header = json.loads(payload)
-                        self._check_header(header, JOURNAL_VERSION_V2)
-                elif header is None:
-                    raise CheckpointError(
-                        f"checkpoint {self.path} contains no readable header"
-                    )
-                elif kind == _frames.FRAME_JSON:
-                    index, value = json.loads(payload)
-                    self._completed[int(index)] = value
-                elif kind == _frames.FRAME_PICKLE:
-                    index, value = pickle.loads(payload)
-                    self._completed[int(index)] = value
-                elif kind == _frames.FRAME_BATCH:
-                    (first_index,) = _I64.unpack_from(payload)
-                    for i, rec in enumerate(
-                        _frames.decode_record_batch(payload[_I64.size:])
-                    ):
-                        self._completed[first_index + i] = {"record": rec}
-                elif kind == _frames.FRAME_ATTACH:
-                    index, extra = pickle.loads(payload)
-                    base = self._completed.get(int(index))
-                    if not isinstance(base, dict):
-                        raise CheckpointError("attach without its record")
-                    base.update(extra)
-                else:
-                    raise CheckpointError(f"unknown frame kind {kind}")
-            except CheckpointError:
-                if header is not None and kind == _frames.FRAME_HEADER:
-                    raise  # header mismatch is a hard error, not corruption
-                if header is None:
-                    raise
-                good_end, bad_reason = pos, f"undecodable frame kind {kind}"
-                break
-            except Exception as exc:
-                # The frame's CRC held but its payload would not decode —
-                # treat everything from this frame on as the corrupt tail.
-                good_end = pos
-                bad_reason = f"frame payload: {type(exc).__name__}: {exc}"
-                break
-        if header is None:
-            raise CheckpointError(
-                f"checkpoint {self.path} contains no readable header"
-            )
-        if bad_reason is not None:
+        self._check_header(decoded.header)
+        self._completed = decoded.payloads
+        if decoded.bad_reason is not None:
             warnings.warn(
                 f"checkpoint {self.path}: truncating corrupt tail "
-                f"(byte {good_end}: {bad_reason}); "
+                f"(byte {decoded.good_end}: {decoded.bad_reason}); "
                 f"{len(self._completed)} completed cell(s) retained",
                 stacklevel=3,
             )
             with open(self.path, "r+b") as fh:
-                fh.truncate(good_end)
+                fh.truncate(decoded.good_end)
         if self._completed:
             self._max_index = max(self._completed)
         self._fh = open(self.path, "ab")
 
-    def _check_header(self, header: dict, version: int) -> None:
-        if header.get("kind") != _HEADER_KIND or header.get("version") != version:
+    def _check_header(self, header: dict) -> None:
+        if (
+            header.get("kind") != _HEADER_KIND
+            or header.get("version") != JOURNAL_VERSION
+        ):
             raise CheckpointError(
                 f"checkpoint {self.path} has kind={header.get('kind')!r} "
                 f"version={header.get('version')!r}; this build expects "
-                f"{_HEADER_KIND!r} v{version}"
+                f"{_HEADER_KIND!r} v{JOURNAL_VERSION}"
             )
         if header.get("fingerprint") != self._digest:
             raise CheckpointError(
@@ -385,13 +227,6 @@ class CheckpointJournal:
             )
 
     # -- Recording ----------------------------------------------------------
-
-    def _write_line(self, line: str) -> None:
-        # Unconditionally durable — used for the v1 header, which must hit
-        # disk before any record regardless of the fsync policy.
-        assert self._fh is not None
-        self._fh.write(line + "\n")
-        self._sync()
 
     def _sync(self) -> None:
         assert self._fh is not None
@@ -425,11 +260,18 @@ class CheckpointJournal:
         if self._fh is not None and self._pending:
             self._sync()
 
-    def _encode_v1(self, index: int, value: Any) -> str:
-        if _json_roundtrips(value):
-            return json.dumps({"cell": int(index), "json": value})
-        data = base64.b64encode(pickle.dumps(value)).decode("ascii")
-        return json.dumps({"cell": int(index), "data": data})
+    def _append(self, blob: bytes, count: int, group: bool) -> None:
+        """Write ``count`` framed records and apply the fsync policy: a
+        single record syncs under ``always``, a group under ``always`` and
+        ``batch``; ``interval`` syncs once its time has elapsed."""
+        assert self._fh is not None
+        self._fh.write(blob)
+        self._pending += count
+        self._pending_bytes += len(blob)
+        if self._policy == "interval":
+            self._maybe_interval_sync()
+        elif group or self._policy == "always":
+            self._sync()
 
     def record(self, index: int, value: Any) -> None:
         """Journal one completed cell.
@@ -440,78 +282,9 @@ class CheckpointJournal:
         """
         if self._fh is None:
             raise CheckpointError(f"checkpoint {self.path} is closed")
-        if self.format == "v2":
-            blob = _frames.frame_bytes(
-                _frames.FRAME_PICKLE,
-                pickle.dumps((int(index), value), protocol=pickle.HIGHEST_PROTOCOL),
-            )
-            self._fh.write(blob)
-            size = len(blob)
-        else:
-            line = self._encode_v1(index, value) + "\n"
-            self._fh.write(line)
-            size = len(line)
-        self._pending += 1
-        self._pending_bytes += size
         self._completed[int(index)] = value
         self._max_index = max(self._max_index, int(index))
-        if self._policy == "always":
-            self._sync()
-        elif self._policy == "interval":
-            self._maybe_interval_sync()
-
-    def _encode_v2_many(self, items: list[tuple[int, Any]]) -> bytes:
-        """Frame a batch: contiguous ``{"record": ...}`` runs become one
-        columnar ``FRAME_BATCH`` (extras ride as ``FRAME_ATTACH``), and
-        everything else falls back to per-record pickle frames."""
-        out = bytearray()
-        i = 0
-        n = len(items)
-        while i < n:
-            run: list[Any] = []
-            attaches: list[tuple[int, dict]] = []
-            first = items[i][0]
-            j = i
-            while j < n:
-                index, payload = items[j]
-                if (
-                    index != first + len(run)
-                    or type(payload) is not dict
-                    or "record" not in payload
-                ):
-                    break
-                run.append(payload["record"])
-                if len(payload) > 1:
-                    extra = {k: v for k, v in payload.items() if k != "record"}
-                    attaches.append((index, extra))
-                j += 1
-            blob = None
-            if len(run) > 1:
-                blob = _frames.encode_wire_records(run)
-                if blob is None:
-                    blob = _frames.encode_routed_records(run)
-            if blob is not None:
-                out += _frames.frame_bytes(
-                    _frames.FRAME_BATCH, _I64.pack(first) + blob
-                )
-                for index, extra in attaches:
-                    out += _frames.frame_bytes(
-                        _frames.FRAME_ATTACH,
-                        pickle.dumps(
-                            (index, extra), protocol=pickle.HIGHEST_PROTOCOL
-                        ),
-                    )
-                i = j
-            else:
-                index, payload = items[i]
-                out += _frames.frame_bytes(
-                    _frames.FRAME_PICKLE,
-                    pickle.dumps(
-                        (int(index), payload), protocol=pickle.HIGHEST_PROTOCOL
-                    ),
-                )
-                i += 1
-        return bytes(out)
+        self._append(_pickle_frame(int(index), value), 1, group=False)
 
     def record_many(self, items: Iterable[tuple[int, Any]]) -> None:
         """Group-commit a batch of cells: one write, one flush, one fsync.
@@ -527,24 +300,11 @@ class CheckpointJournal:
         items = list(items)
         if not items:
             return
-        if self.format == "v2":
-            blob_b = self._encode_v2_many(items)
-            self._fh.write(blob_b)
-            size = len(blob_b)
-        else:
-            lines = [self._encode_v1(index, value) for index, value in items]
-            text = "\n".join(lines) + "\n"
-            self._fh.write(text)
-            size = len(text)
+        blob = _frame_items(items)
         for index, value in items:
             self._completed[int(index)] = value
         self._max_index = max(self._max_index, items[-1][0])
-        self._pending += len(items)
-        self._pending_bytes += size
-        if self._policy == "interval":
-            self._maybe_interval_sync()
-        else:
-            self._sync()
+        self._append(blob, len(items), group=True)
 
     def record_batch_blob(
         self,
@@ -557,9 +317,9 @@ class CheckpointJournal:
         batch blob (:mod:`repro.sim.frames` layout W or R) at indices
         ``first_index .. first_index + count - 1``.
 
-        This is the v2-only zero-copy fast path: the session (or a shard
-        worker relaying coordinator bytes) frames the blob directly,
-        never materializing per-record dicts.  ``extras`` are
+        This is the zero-copy fast path: the session (or a shard worker
+        relaying coordinator bytes) frames the blob directly, never
+        materializing per-record dicts.  ``extras`` are
         ``(index, extra_dict)`` riders — snapshots, deltas — merged into
         the payload at ``index`` on load.  Unlike :meth:`record` /
         :meth:`record_many`, this does **not** populate
@@ -569,28 +329,10 @@ class CheckpointJournal:
         """
         if self._fh is None:
             raise CheckpointError(f"checkpoint {self.path} is closed")
-        if self.format != "v2":
-            raise CheckpointError(
-                f"checkpoint {self.path} is format v1; batch blobs need v2"
-            )
-        out = bytearray(
-            _frames.frame_bytes(_frames.FRAME_BATCH, _I64.pack(first_index) + blob)
-        )
-        for index, extra in extras:
-            out += _frames.frame_bytes(
-                _frames.FRAME_ATTACH,
-                pickle.dumps(
-                    (int(index), dict(extra)), protocol=pickle.HIGHEST_PROTOCOL
-                ),
-            )
-        self._fh.write(out)
-        self._pending += count
-        self._pending_bytes += len(out)
         self._max_index = max(self._max_index, first_index + count - 1)
-        if self._policy == "interval":
-            self._maybe_interval_sync()
-        else:
-            self._sync()
+        self._append(
+            _batch_frames(first_index, blob, extras), count, group=True
+        )
 
     def completed(self) -> dict[int, Any]:
         """Cell index -> result for every journaled cell.
@@ -620,20 +362,23 @@ class CheckpointJournal:
         self.commit()
         self._fh.close()
         self._fh = None
+        data = self.path.read_bytes()
+        out = bytearray(_frames.JOURNAL_MAGIC)
+        for kind, start, end, index, value in _frames.JournalDecoder(data):
+            count = len(value) if kind == _frames.FRAME_BATCH else 1
+            if index + count <= first_index:
+                out += data[start:end]
+            elif index < first_index:
+                # The cutoff splits this batch: keep the prefix as
+                # per-record frames (re-encoding a partial batch buys
+                # nothing at truncation frequency).
+                for i, rec in enumerate(value[: first_index - index]):
+                    out += _pickle_frame(index + i, {"record": rec})
         tmp = self.path.with_name(self.path.name + ".tmp")
-        if self.format == "v2":
-            self._rewrite_v2_below(tmp, first_index)
-        else:
-            kept: list[str] = []
-            with open(self.path, encoding="utf-8") as fh:
-                kept.append(fh.readline())  # header, validated at open
-                for line in fh:
-                    if int(json.loads(line)["cell"]) < first_index:
-                        kept.append(line)
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.writelines(kept)
-                fh.flush()
-                os.fsync(fh.fileno())
+        with open(tmp, "wb") as fh:
+            fh.write(out)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, self.path)
         self._completed = {
             index: value
@@ -641,55 +386,9 @@ class CheckpointJournal:
             if index < first_index
         }
         self._max_index = max(self._completed, default=-1)
-        mode = "ab" if self.format == "v2" else "a"
-        self._fh = open(
-            self.path, mode, **({} if self.format == "v2" else {"encoding": "utf-8"})
-        )
+        self._fh = open(self.path, "ab")
         self._pending = 0
         self._pending_bytes = 0
-
-    def _rewrite_v2_below(self, tmp: Path, first_index: int) -> None:
-        data = self.path.read_bytes()
-        frames, _end, _reason = _frames.scan_frames(
-            data, len(_frames.JOURNAL_MAGIC)
-        )
-        with open(tmp, "wb") as fh:
-            fh.write(_frames.JOURNAL_MAGIC)
-            for kind, payload, _pos in frames:
-                if kind == _frames.FRAME_HEADER:
-                    fh.write(_frames.frame_bytes(kind, payload))
-                elif kind in (_frames.FRAME_JSON, _frames.FRAME_PICKLE):
-                    if kind == _frames.FRAME_JSON:
-                        index, _value = json.loads(payload)
-                    else:
-                        index, _value = pickle.loads(payload)
-                    if int(index) < first_index:
-                        fh.write(_frames.frame_bytes(kind, payload))
-                elif kind == _frames.FRAME_BATCH:
-                    (first,) = _I64.unpack_from(payload)
-                    records = _frames.decode_record_batch(payload[_I64.size:])
-                    if first + len(records) <= first_index:
-                        fh.write(_frames.frame_bytes(kind, payload))
-                    elif first < first_index:
-                        # The cutoff splits this batch: keep the prefix as
-                        # per-record frames (re-encoding a partial batch
-                        # buys nothing at truncation frequency).
-                        for i, rec in enumerate(records[: first_index - first]):
-                            fh.write(
-                                _frames.frame_bytes(
-                                    _frames.FRAME_PICKLE,
-                                    pickle.dumps(
-                                        (first + i, {"record": rec}),
-                                        protocol=pickle.HIGHEST_PROTOCOL,
-                                    ),
-                                )
-                            )
-                elif kind == _frames.FRAME_ATTACH:
-                    index, _extra = pickle.loads(payload)
-                    if int(index) < first_index:
-                        fh.write(_frames.frame_bytes(kind, payload))
-            fh.flush()
-            os.fsync(fh.fileno())
 
     def close(self) -> None:
         """Commit anything pending, then close the file handle."""
@@ -703,3 +402,65 @@ class CheckpointJournal:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def _frame_items(items: list[tuple[int, Any]]) -> bytes:
+    """Frame a group: contiguous ``{"record": ...}`` runs on the hot
+    wire/routed schema become one columnar ``FRAME_BATCH`` (other payload
+    keys ride as ``FRAME_ATTACH``); everything else is framed per record."""
+    out = bytearray()
+    i = 0
+    n = len(items)
+    while i < n:
+        run: list[Any] = []
+        attaches: list[tuple[int, dict]] = []
+        first = items[i][0]
+        j = i
+        while j < n:
+            index, payload = items[j]
+            if (
+                index != first + len(run)
+                or type(payload) is not dict
+                or "record" not in payload
+            ):
+                break
+            run.append(payload["record"])
+            if len(payload) > 1:
+                extra = {k: v for k, v in payload.items() if k != "record"}
+                attaches.append((index, extra))
+            j += 1
+        blob = None
+        if len(run) > 1:
+            blob = _frames.encode_wire_records(run)
+            if blob is None:
+                blob = _frames.encode_routed_records(run)
+        if blob is not None:
+            out += _batch_frames(first, blob, attaches)
+            i = j
+        else:
+            out += _pickle_frame(int(items[i][0]), items[i][1])
+            i += 1
+    return bytes(out)
+
+
+def _pickle_frame(index: int, value: Any) -> bytes:
+    return _frames.frame_bytes(
+        _frames.FRAME_PICKLE, pickle.dumps((index, value), protocol=_PICKLE_PROTO)
+    )
+
+
+def _batch_frames(
+    first_index: int,
+    blob: bytes,
+    extras: Iterable[tuple[int, Mapping[str, Any]]],
+) -> bytes:
+    """One ``FRAME_BATCH`` plus a ``FRAME_ATTACH`` per extras rider."""
+    out = bytearray(
+        _frames.frame_bytes(_frames.FRAME_BATCH, _I64.pack(first_index) + blob)
+    )
+    for index, extra in extras:
+        out += _frames.frame_bytes(
+            _frames.FRAME_ATTACH,
+            pickle.dumps((int(index), dict(extra)), protocol=_PICKLE_PROTO),
+        )
+    return bytes(out)

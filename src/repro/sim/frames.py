@@ -1,8 +1,7 @@
-"""Length-prefixed binary frames: the v2 journal and shard wire format.
+"""Length-prefixed binary frames: the journal and shard wire format.
 
 One codec serves both places a record crosses a trust boundary — the
-durable journal (:class:`~repro.sim.checkpoint.CheckpointJournal` format
-v2) and the coordinator/worker socketpair
+durable journal (:class:`~repro.sim.checkpoint.CheckpointJournal`) and the coordinator/worker socketpair
 (:mod:`repro.service.shard.worker`) — so bytes encoded once by the
 coordinator can be framed into a worker's journal without re-encoding.
 
@@ -14,9 +13,9 @@ Frame layout (all integers little-endian)::
 
 Torn-tail detection is structural: a file (or stream) that ends inside a
 header or payload, or whose payload fails its CRC, is cut at the last
-good frame boundary — no JSON parse heuristics.  The CRC also catches
-bit rot in the middle of a frame, which the v1 line format could only
-catch when it happened to break JSON syntax.
+good frame boundary — no parse heuristics.  The CRC also catches bit
+rot in the middle of a frame.  :func:`decode_journal` is the one place
+journal frames are decoded back into records.
 
 Frame kinds are split into two id spaces so a journal frame can never be
 misread as a wire message:
@@ -25,7 +24,6 @@ misread as a wire message:
 journal               id    payload
 ====================  ====  =====================================================
 ``FRAME_HEADER``      1     JSON header dict (kind/version/fingerprint/workload)
-``FRAME_JSON``        2     JSON ``[index, payload]``
 ``FRAME_PICKLE``      3     pickle ``(index, payload)``
 ``FRAME_BATCH``       4     i64 first_index + columnar record batch (below)
 ``FRAME_ATTACH``      5     pickle ``(index, extra)`` — merged into the payload
@@ -55,11 +53,10 @@ import pickle
 import struct
 import zlib
 from array import array
-from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Iterator, Mapping, Optional, Sequence
 
 __all__ = [
     "FRAME_HEADER",
-    "FRAME_JSON",
     "FRAME_PICKLE",
     "FRAME_BATCH",
     "FRAME_ATTACH",
@@ -78,13 +75,14 @@ __all__ = [
     "routed_columns_from_records",
     "decode_record_batch",
     "decode_routed_columns",
+    "JournalDecoder",
+    "decode_journal",
     "iter_journal_payloads",
 ]
 
 JOURNAL_MAGIC = b"RJF2\x00"
 
 FRAME_HEADER = 1
-FRAME_JSON = 2
 FRAME_PICKLE = 3
 FRAME_BATCH = 4
 FRAME_ATTACH = 5
@@ -431,8 +429,9 @@ def decode_routed_columns(blob: bytes) -> Optional[RoutedColumns]:
 def decode_record_batch(blob: bytes) -> list[dict[str, Any]]:
     """Materialize a columnar batch back into per-record dicts.
 
-    The dicts are key-for-key identical to the records that were encoded
-    — the property the v1/v2 parity referee holds both formats to.
+    The dicts are key-for-key identical to the records that were encoded,
+    so a resume replays exactly what the per-event path would have
+    journaled.
     """
     layout, count, cols = _unpack_batch(blob)
     if layout == b"R":
@@ -467,102 +466,100 @@ def decode_record_batch(blob: bytes) -> list[dict[str, Any]]:
     return out
 
 
-# -- Journal payload iteration (both formats) --------------------------------
+# -- Journal decoding ---------------------------------------------------------
 
 
-def _iter_v1_payloads(raw: str) -> Iterator[tuple[int, Any]]:
-    """Yield ``(index, payload)`` from v1 JSONL text, corrupt-tail
-    tolerant: parsing stops silently at the first bad or unterminated
-    line (mirrors :class:`CheckpointJournal`'s recovery)."""
-    import base64 as _b64
+class JournalDecoder:
+    """Decode a journal file (magic included) front to back.
 
-    first = True
-    for piece in raw.splitlines(keepends=True):
-        if not piece.endswith("\n"):
+    Iterating yields one ``(kind, start, end, index, value)`` tuple per
+    frame in file order: ``start``/``end`` bound the whole frame in the
+    file, ``index`` is the record index (a batch's first index, -1 for
+    the header) and ``value`` the decoded payload (header dict, record
+    payload, a batch's record list, or attach extras).  It stops at the
+    first frame that is torn, fails its CRC, or whose payload does not
+    decode: an unknown kind, a record before the header, or an attach
+    without its record.  Nothing past that frame is yielded.  Once
+    iteration ends, ``payloads`` maps record index to payload with
+    ``FRAME_ATTACH`` extras merged in (a duplicated index keeps its last
+    value and its first-seen position), ``good_end`` is the byte offset
+    where the intact prefix ends and ``bad_reason`` says why decoding
+    stopped there (``None`` when the file ended on a frame boundary).
+    ``header`` stays ``None`` when the file lacks the magic or does not
+    open with a readable header frame.
+
+    Frames are yielded rather than collected so a caller that needs only
+    the payloads (a journal reopen) keeps no per-frame objects alive.
+    """
+
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+        self.header: Optional[dict] = None
+        self.payloads: dict[int, Any] = {}
+        self.good_end = 0
+        self.bad_reason: Optional[str] = "no journal magic"
+
+    def __iter__(self) -> Iterator[tuple[int, int, int, int, Any]]:
+        if not self.data.startswith(JOURNAL_MAGIC):
             return
-        if first:
-            first = False  # header line
-            continue
-        try:
-            rec = json.loads(piece)
-            index = int(rec["cell"])
-            if "json" in rec:
-                value = rec["json"]
-            else:
-                value = pickle.loads(_b64.b64decode(rec["data"]))
-        except Exception:
-            return
-        yield index, value
+        raw, self.good_end, self.bad_reason = scan_frames(
+            self.data, len(JOURNAL_MAGIC)
+        )
+        payloads = self.payloads
+        for kind, payload, start in raw:
+            try:
+                if kind == FRAME_HEADER:
+                    index, value = -1, None
+                    if self.header is None:
+                        value = json.loads(payload)
+                        if type(value) is not dict:
+                            raise FrameError("header is not a JSON object")
+                        self.header = value
+                elif self.header is None:
+                    raise FrameError(f"frame kind {kind} before the header")
+                elif kind == FRAME_PICKLE:
+                    index, value = pickle.loads(payload)
+                    index = int(index)
+                    payloads[index] = value
+                elif kind == FRAME_BATCH:
+                    (index,) = _I64.unpack_from(payload)
+                    value = decode_record_batch(payload[_I64.size:])
+                    for i, rec in enumerate(value):
+                        payloads[index + i] = {"record": rec}
+                elif kind == FRAME_ATTACH:
+                    index, value = pickle.loads(payload)
+                    index = int(index)
+                    base = payloads.get(index)
+                    if not isinstance(base, dict):
+                        raise FrameError(f"attach without its record {index}")
+                    base.update(value)
+                else:
+                    raise FrameError(f"unknown frame kind {kind}")
+            except Exception as exc:
+                self.good_end = start
+                self.bad_reason = f"frame payload: {type(exc).__name__}: {exc}"
+                return
+            yield kind, start, start + _HDR.size + len(payload), index, value
 
 
-def _iter_v2_payloads(data: bytes) -> Iterator[tuple[int, Any]]:
-    """Yield ``(index, payload)`` from v2 frame bytes (magic included),
-    with the same stop-at-first-bad-frame tolerance.  ``FRAME_ATTACH``
-    extras are merged into the payload they ride on."""
-    if not data.startswith(JOURNAL_MAGIC):
-        return
-    frames, _end, _reason = scan_frames(data, len(JOURNAL_MAGIC))
-    by_index: dict[int, Any] = {}
-    order: list[int] = []
-
-    def put(index: int, value: Any) -> None:
-        if index not in by_index:
-            order.append(index)
-        by_index[index] = value
-
-    for kind, payload, _pos in frames:
-        try:
-            if kind == FRAME_HEADER:
-                continue
-            if kind == FRAME_JSON:
-                index, value = json.loads(payload)
-                put(int(index), value)
-            elif kind == FRAME_PICKLE:
-                index, value = pickle.loads(payload)
-                put(int(index), value)
-            elif kind == FRAME_BATCH:
-                (first_index,) = _I64.unpack_from(payload)
-                for i, rec in enumerate(decode_record_batch(payload[8:])):
-                    put(first_index + i, {"record": rec})
-            elif kind == FRAME_ATTACH:
-                index, extra = pickle.loads(payload)
-                base = by_index.get(int(index))
-                if not isinstance(base, dict):
-                    return  # an attach without its record: corrupt tail
-                base.update(extra)
-        except Exception:
-            return
-    for index in order:
-        yield index, by_index[index]
+def decode_journal(data: bytes) -> JournalDecoder:
+    """Decode a whole journal file; see :class:`JournalDecoder`."""
+    decoder = JournalDecoder(data)
+    for _frame in decoder:
+        pass
+    return decoder
 
 
 def iter_journal_payloads(path: Any) -> list[tuple[int, Any]]:
-    """``(index, payload)`` pairs of a journal in either format.
+    """``(index, payload)`` pairs of a journal file, in first-seen order.
 
-    Format is sniffed from the first bytes (``{`` → v1 JSONL, the frame
-    magic → v2); an unreadable or unrecognisable file yields ``[]``.
-    Duplicate indices keep the last occurrence (the journals' last-wins
-    contract); pairs come back in first-seen index order.
+    Tolerates a corrupt tail the way the journal does (everything before
+    the first bad frame); an unreadable file, or one that is not a framed
+    journal, yields ``[]``.
     """
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError:
         return []
-    if data.startswith(JOURNAL_MAGIC):
-        pairs = list(_iter_v2_payloads(data))
-    elif data.startswith(b"{"):
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError:
-            return []
-        pairs = list(_iter_v1_payloads(text))
-    else:
-        return []
-    last: dict[int, Any] = {}
-    order: list[int] = []
-    for index, value in pairs:
-        if index not in last:
-            order.append(index)
-        last[index] = value
-    return [(index, last[index]) for index in order]
+    return list(decode_journal(data).payloads.items())

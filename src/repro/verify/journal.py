@@ -1,24 +1,23 @@
-"""The journal-format referee: v1 and v2 journals must be one history.
+"""The journal crash/kill referee: a journal must be invisible.
 
-The binary v2 journal buys its throughput with three liberties — framed
-pickle/columnar records instead of JSONL, delta digests instead of full
-snapshots between full-snapshot crossings, and batch frames that never
-materialise per-event dicts.  None of them may be observable: a session
-journaled in either format must resume to *bit-identical* state, and a
-v2 journal killed mid-delta-window (after a delta rider, before the
-next full snapshot) must recover exactly the surviving hole-free prefix
-and then catch up to the uninterrupted run.  This referee enforces all
-of that the way the rest of :mod:`repro.verify` does — same input, both
-configurations, diff everything:
+The binary journal buys its throughput with three liberties — framed
+pickle/columnar records, delta digests instead of full snapshots between
+full-snapshot crossings, and batch frames that never materialise
+per-event dicts.  None of them may be observable: a journaled session
+must resume to *bit-identical* state, and a journal killed
+mid-delta-window (after a delta rider, before the next full snapshot)
+must recover exactly the surviving hole-free prefix and then catch up to
+the uninterrupted run.  This referee enforces all of that the way the
+rest of :mod:`repro.verify` does — same input, journaled and
+unjournaled, diff everything:
 
 * **final state**: kernel ``snapshot()``, ``status()``, and metrics of
-  the v1- and v2-journaled sessions must equal an unjournaled oracle's,
-  both live and after a close/reopen round trip;
-* **kill windows**: the v2 journal is truncated at sampled frame
-  boundaries *and* mid-frame (the torn-tail case); each truncation must
-  reopen to the state of an oracle fed exactly the surviving records,
-  then drive to the same end state.  v1 copies get the same treatment
-  at line granularity, so both recovery paths stay honest;
+  the journaled session must equal an unjournaled oracle's, both live
+  and after a close/reopen round trip;
+* **kill windows**: the journal is truncated at sampled frame boundaries
+  *and* mid-frame (the torn-tail case); each truncation must reopen to
+  the state of an oracle fed exactly the surviving records, then drive
+  to the same end state;
 * **replayability**: both the committed corpus
   (:func:`replay_corpus_journal`) and fresh fuzzed churn streams
   (:func:`fuzz_journal`) feed the check; ``repro verify --journal``
@@ -56,20 +55,19 @@ __all__ = [
 
 @dataclass
 class JournalOutcome:
-    """Verdict of one parity check (one stream, both formats)."""
+    """Verdict of one referee check (one stream)."""
 
     algorithm: str
     num_pes: int
     events: int
     divergences: list[str] = field(default_factory=list)
-    #: Truncation points exercised on each format's journal — a check
-    #: that never kills inside a delta window proves less.
+    #: Truncation points exercised — a check that never kills inside a
+    #: delta window proves less.
     kills_checked: int = 0
     #: Of those, truncations that landed strictly between a delta rider
-    #: and the next full snapshot (the v2-only recovery path).
+    #: and the next full snapshot.
     delta_window_kills: int = 0
-    bytes_v1: int = 0
-    bytes_v2: int = 0
+    journal_bytes: int = 0
 
     @property
     def ok(self) -> bool:
@@ -109,7 +107,6 @@ def _open(
     d: float,
     seed: int,
     fault_tolerant: bool,
-    journal_format: str,
     snapshot_interval: int,
     full_snapshot_interval: int,
     fsync_policy: str,
@@ -123,38 +120,27 @@ def _open(
         snapshot_interval=snapshot_interval,
         full_snapshot_interval=full_snapshot_interval,
         fsync_policy=fsync_policy,
-        journal_format=journal_format,
     )
 
 
 def _truncation_points(
-    data: bytes, journal_format: str, rng: np.random.Generator, count: int
+    data: bytes, rng: np.random.Generator, count: int
 ) -> list[int]:
-    """Sampled kill offsets: record boundaries plus one mid-record cut.
+    """Sampled kill offsets: frame boundaries plus one mid-frame cut.
 
-    v2 boundaries are frame starts (the header frame is never cut — a
-    journal without its header is a different failure, not a crash);
-    v1 boundaries are newline positions past the header line.  The final
-    mid-record offset exercises the torn-tail scan.
+    Boundaries are frame starts past the first record frame (the header
+    frame is never cut — a journal without its header is a different
+    failure, not a crash).  The final mid-frame offset exercises the
+    torn-tail scan.
     """
-    if journal_format == "v2":
-        frames, good_end, _reason = scan_frames(data, len(JOURNAL_MAGIC))
-        boundaries = [start for _k, _p, start in frames[2:]] + [good_end]
-    else:
-        text = data.decode("utf-8")
-        first = text.index("\n") + 1
-        boundaries = [
-            i + 1 for i, ch in enumerate(text) if ch == "\n" and i + 1 > first
-        ]
-    boundaries = sorted(set(boundaries))
-    if not boundaries:
-        return []
+    frames, good_end, _reason = scan_frames(data, len(JOURNAL_MAGIC))
+    boundaries = sorted({start for _k, _p, start in frames[2:]} | {good_end})
     picks = min(count, len(boundaries))
     chosen = sorted(
         int(boundaries[i])
         for i in rng.choice(len(boundaries), size=picks, replace=False)
     )
-    # One torn cut: a few bytes into the record after some clean boundary.
+    # One torn cut: a few bytes into the frame after some clean boundary.
     torn = chosen[len(chosen) // 2] + 3
     if torn < len(data):
         chosen.append(torn)
@@ -176,7 +162,7 @@ def check_journal_parity(
     kill_points: int = 4,
     max_divergences: int = 10,
 ) -> JournalOutcome:
-    """Diff one event stream across journal formats and kill windows.
+    """Diff one event stream, journaled vs not, across kill windows.
 
     The deliberately small ``snapshot_interval`` / ``full_snapshot_interval``
     pair guarantees fuzzed streams cross several delta windows, so the
@@ -191,13 +177,13 @@ def check_journal_parity(
         if len(outcome.divergences) < max_divergences:
             outcome.divergences.append(message)
 
-    def reopen(path: Path, journal_format: str) -> AllocationSession:
+    def session(path: Optional[Path]) -> AllocationSession:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # partial tails are expected
             return _open(
                 path,
                 algorithm=algorithm, num_pes=num_pes, d=d, seed=seed,
-                fault_tolerant=fault_tolerant, journal_format=journal_format,
+                fault_tolerant=fault_tolerant,
                 snapshot_interval=snapshot_interval,
                 full_snapshot_interval=full_snapshot_interval,
                 fsync_policy=fsync_policy,
@@ -205,116 +191,78 @@ def check_journal_parity(
 
     with tempfile.TemporaryDirectory(prefix="repro-jref-") as tmp:
         tmpdir = Path(tmp)
-        oracle = _open(
-            None,
-            algorithm=algorithm, num_pes=num_pes, d=d, seed=seed,
-            fault_tolerant=fault_tolerant, journal_format="v2",
-            snapshot_interval=snapshot_interval,
-            full_snapshot_interval=full_snapshot_interval,
-            fsync_policy=fsync_policy,
-        )
-        paths = {
-            "v1": tmpdir / "session.v1.journal",
-            "v2": tmpdir / "session.v2.journal",
-        }
-        writers = {
-            fmt: _open(
-                path,
-                algorithm=algorithm, num_pes=num_pes, d=d, seed=seed,
-                fault_tolerant=fault_tolerant, journal_format=fmt,
-                snapshot_interval=snapshot_interval,
-                full_snapshot_interval=full_snapshot_interval,
-                fsync_policy=fsync_policy,
-            )
-            for fmt, path in paths.items()
-        }
+        path = tmpdir / "session.journal"
+        oracle = session(None)
+        writer = session(path)
         try:
             for start in range(0, len(records), batch):
                 chunk = records[start : start + batch]
                 for rec in chunk:
                     oracle.push(dict(rec))
-                for fmt, writer in writers.items():
-                    writer.push_batch([dict(r) for r in chunk])
+                writer.push_batch([dict(r) for r in chunk])
             expected = _fingerprint(oracle)
-            for fmt, writer in writers.items():
-                if _fingerprint(writer) != expected:
-                    diverge(f"{fmt} live state != oracle")
+            if _fingerprint(writer) != expected:
+                diverge("live state != oracle")
         finally:
             oracle.close()
-            for writer in writers.values():
-                writer.close()
-        outcome.bytes_v1 = paths["v1"].stat().st_size
-        outcome.bytes_v2 = paths["v2"].stat().st_size
+            writer.close()
+        outcome.journal_bytes = path.stat().st_size
 
-        # Clean close/reopen: both formats must restore the exact state.
-        for fmt, path in paths.items():
-            resumed = reopen(path, fmt)
-            try:
-                if resumed.num_events != len(records):
-                    diverge(
-                        f"{fmt} reopen lost events: {resumed.num_events} "
-                        f"of {len(records)}"
-                    )
-                elif _fingerprint(resumed) != expected:
-                    diverge(f"{fmt} reopened state != oracle")
-            finally:
-                resumed.close()
+        # Clean close/reopen must restore the exact state.
+        resumed = session(path)
+        try:
+            if resumed.num_events != len(records):
+                diverge(
+                    f"reopen lost events: {resumed.num_events} "
+                    f"of {len(records)}"
+                )
+            elif _fingerprint(resumed) != expected:
+                diverge("reopened state != oracle")
+        finally:
+            resumed.close()
 
         # Kill windows: truncate at sampled boundaries, reopen, diff
         # against an oracle fed exactly the surviving prefix, then drive
         # both to the end of the stream.
-        for fmt, path in paths.items():
-            data = path.read_bytes()
-            for cut in _truncation_points(data, fmt, rng, kill_points):
-                copy = tmpdir / f"kill.{fmt}.{cut}.journal"
-                copy.write_bytes(data[:cut])
-                resumed = reopen(copy, fmt)
+        data = path.read_bytes()
+        for cut in _truncation_points(data, rng, kill_points):
+            copy = tmpdir / f"kill.{cut}.journal"
+            copy.write_bytes(data[:cut])
+            resumed = session(copy)
+            try:
+                survived = resumed.num_events
+                if survived > len(records):
+                    diverge(
+                        f"cut@{cut}: resurrected "
+                        f"{survived - len(records)} unknown event(s)"
+                    )
+                    continue
+                last_delta = (survived // snapshot_interval) * snapshot_interval
+                last_full = (
+                    survived // full_snapshot_interval
+                ) * full_snapshot_interval
+                if last_delta > last_full:
+                    outcome.delta_window_kills += 1
+                prefix = session(None)
                 try:
-                    survived = resumed.num_events
-                    if survived > len(records):
+                    for rec in records[:survived]:
+                        prefix.push(dict(rec))
+                    if _fingerprint(resumed) != _fingerprint(prefix):
                         diverge(
-                            f"{fmt} cut@{cut}: resurrected "
-                            f"{survived - len(records)} unknown event(s)"
+                            f"cut@{cut}: resumed state != oracle of the "
+                            f"surviving {survived} record(s)"
                         )
                         continue
-                    last_delta = (survived // snapshot_interval) * snapshot_interval
-                    last_full = (
-                        survived // full_snapshot_interval
-                    ) * full_snapshot_interval
-                    if fmt == "v2" and last_delta > last_full:
-                        outcome.delta_window_kills += 1
-                    prefix = _open(
-                        None,
-                        algorithm=algorithm, num_pes=num_pes, d=d,
-                        seed=seed, fault_tolerant=fault_tolerant,
-                        journal_format=fmt,
-                        snapshot_interval=snapshot_interval,
-                        full_snapshot_interval=full_snapshot_interval,
-                        fsync_policy=fsync_policy,
-                    )
-                    try:
-                        for rec in records[:survived]:
-                            prefix.push(dict(rec))
-                        if _fingerprint(resumed) != _fingerprint(prefix):
-                            diverge(
-                                f"{fmt} cut@{cut}: resumed state != "
-                                f"oracle of the surviving {survived} "
-                                f"record(s)"
-                            )
-                            continue
-                        for rec in records[survived:]:
-                            resumed.push(dict(rec))
-                            prefix.push(dict(rec))
-                        if _fingerprint(resumed) != _fingerprint(prefix):
-                            diverge(
-                                f"{fmt} cut@{cut}: end state diverges "
-                                f"after catch-up"
-                            )
-                    finally:
-                        prefix.close()
-                    outcome.kills_checked += 1
+                    for rec in records[survived:]:
+                        resumed.push(dict(rec))
+                        prefix.push(dict(rec))
+                    if _fingerprint(resumed) != _fingerprint(prefix):
+                        diverge(f"cut@{cut}: end state diverges after catch-up")
                 finally:
-                    resumed.close()
+                    prefix.close()
+                outcome.kills_checked += 1
+            finally:
+                resumed.close()
     return outcome
 
 
@@ -324,7 +272,7 @@ def replay_corpus_journal(
     kill_points: int = 2,
     strict: bool = False,
 ) -> list[tuple[Any, Optional[JournalOutcome]]]:
-    """Parity-check every journalable corpus entry; churn entries (whose
+    """Referee every journalable corpus entry; churn entries (whose
     resize events a session cannot ingest) map to ``None``."""
     results: list[tuple[Any, Optional[JournalOutcome]]] = []
     for entry in load_corpus(directory, strict=strict):
@@ -354,8 +302,8 @@ def fuzz_journal(
     algorithms: Optional[Sequence[str]] = None,
     kill_points: int = 3,
 ) -> list[JournalOutcome]:
-    """Random-churn parity sweep: ``sequences`` fresh streams per
-    algorithm through both journal formats, every journal kill-sampled.
+    """Random-churn referee sweep: ``sequences`` fresh streams per
+    algorithm through journaled sessions, every journal kill-sampled.
 
     Raises :class:`~repro.errors.SimulationError` listing the first
     divergences if any stream breaks parity, so CI fails loudly.
@@ -384,7 +332,7 @@ def fuzz_journal(
                 )
     if failures:
         raise SimulationError(
-            f"journal parity broken in {len(failures)} stream(s): "
+            f"journal referee failed on {len(failures)} stream(s): "
             + " | ".join(failures[:5])
         )
     return outcomes

@@ -4,10 +4,9 @@ Every test here pits a columnar-backend kernel against the per-event
 oracle kernel on the same event stream and demands strict bit-identity:
 decision tuples, metrics series, peak snapshots, state digests, error
 types and messages, even where mid-batch failures stop.  The suite runs
-for every backend usable in this environment (``numpy`` always; ``numba``
-joins automatically when the optional package is installed), across all
-six machine topologies, under fault plans (where the engine must fall
-back, not misbehave), and through ``snapshot()``/``restore()`` cycles.
+for every columnar backend (``numpy``), across all six machine
+topologies, under fault plans (where the engine must fall back, not
+misbehave), and through ``snapshot()``/``restore()`` cycles.
 """
 
 import hashlib
@@ -124,12 +123,9 @@ class TestBackendRegistry:
         with pytest.raises(SimulationError, match="unknown batch backend"):
             resolve_backend("fortran")
 
-    def test_numba_backend_gated_on_import(self):
-        if "numba" in available_backends():
-            assert resolve_backend("numba") == "numba"
-        else:
-            with pytest.raises(SimulationError, match="optional numba package"):
-                resolve_backend("numba")
+    def test_numba_is_an_unknown_backend(self):
+        with pytest.raises(SimulationError, match="unknown batch backend"):
+            resolve_backend("numba")
 
     def test_python_backend_has_no_engine(self):
         kernel = _kernel("python")

@@ -1,12 +1,11 @@
-"""Journal format v2 torture tests: frames, deltas, negotiation, kills.
+"""Framed journal torture tests: frames, deltas, kills.
 
 The binary journal's contracts, attacked one at a time: a torn tail or
 flipped CRC byte must surrender exactly the intact prefix with a
-warning; a v1 journal reopened by v2-default code must stay v1 and
-resume bit-identically; tampered records must fail the delta-digest
-check; and a SIGKILL landing *inside a delta-snapshot window* (after a
-delta rider, before the next full snapshot) must resume to the same
-final state as an uninterrupted run under every fsync policy.
+warning; tampered records must fail the delta-digest check; and a
+SIGKILL landing *inside a delta-snapshot window* (after a delta rider,
+before the next full snapshot) must resume to the same final state as
+an uninterrupted run under every fsync policy.
 """
 
 import hashlib
@@ -82,52 +81,6 @@ class TestFormatLayout:
         # the snapshot-interval crossings in between, and never coincide.
         assert not set(fulls) & set(deltas)
         assert len(deltas) > len(fulls)  # most crossings are cheap deltas
-
-    def test_v1_requested_stays_jsonl(self, tmp_path):
-        journal = tmp_path / "s.journal"
-        _fill(journal, _records(tasks=10, seed=2), journal_format="v1")
-        text = journal.read_text()
-        assert text.startswith("{")
-        # v1 raw-JSON records: plain payloads keep their JSON shape
-        # instead of the old pickle+base64 double encoding.
-        body = text.splitlines()[1:]
-        assert any('"json"' in line for line in body)
-        assert not any('"data"' in line for line in body)
-
-
-class TestFormatNegotiation:
-    def test_v1_reopened_by_v2_default_stays_v1(self, tmp_path):
-        records = _records(tasks=30, seed=3)
-        cut = len(records) // 2
-        reference = _session()
-        for rec in records:
-            reference.push(rec)
-
-        journal = tmp_path / "old.journal"
-        _fill(journal, records[:cut], journal_format="v1")
-
-        resumed = _session(journal_path=journal)  # journal_format="v2"
-        assert resumed.num_events == cut
-        for rec in records[cut:]:
-            resumed.push(rec)
-        resumed.close()
-        assert _digest(resumed.snapshot()) == _digest(reference.snapshot())
-        # The appended tail is still JSONL — a journal never mixes formats.
-        assert not journal.read_bytes().startswith(JOURNAL_MAGIC)
-        assert journal.read_text().endswith("\n")
-
-    def test_v2_reopened_with_v1_request_stays_v2(self, tmp_path):
-        records = _records(tasks=20, seed=4)
-        journal = tmp_path / "new.journal"
-        _fill(journal, records)
-        resumed = _session(journal_path=journal, journal_format="v1")
-        assert resumed.num_events == len(records)
-        resumed.submit(2)
-        resumed.close()
-        data = journal.read_bytes()
-        assert data.startswith(JOURNAL_MAGIC)
-        _frames, _end, reason = scan_frames(data, len(JOURNAL_MAGIC))
-        assert reason is None
 
 
 class TestCorruptTails:
@@ -308,11 +261,8 @@ def _repo_src():
 
 def _has_partial_tail(journal) -> bool:
     data = journal.read_bytes()
-    if data.startswith(JOURNAL_MAGIC):
-        _frames, good_end, reason = scan_frames(data, len(JOURNAL_MAGIC))
-        return reason is not None and good_end < len(data)
-    text = data.decode("utf-8")
-    return bool(text) and not text.endswith("\n")
+    _frames, good_end, reason = scan_frames(data, len(JOURNAL_MAGIC))
+    return reason is not None and good_end < len(data)
 
 
 def _noop():

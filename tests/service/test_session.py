@@ -8,6 +8,7 @@ through the batch simulator agrees bit-for-bit.
 
 import hashlib
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from repro.core.registry import make_algorithm
 from repro.errors import CheckpointError, SimulationError
 from repro.machines.tree import TreeMachine
 from repro.service import AllocationSession, sequence_records
+from repro.sim.frames import FRAME_PICKLE, JOURNAL_MAGIC, JournalDecoder, frame_bytes
 from repro.workloads.generators import poisson_sequence
 
 
@@ -186,20 +188,25 @@ class TestResume:
     def test_resume_detects_divergent_replay(self, tmp_path):
         """Tampered journal records fail the embedded-snapshot digest check."""
         journal = tmp_path / "tamper.journal"
-        s = _session(
-            journal_path=journal, snapshot_interval=2, journal_format="v1"
-        )
+        intervals = {"snapshot_interval": 2, "full_snapshot_interval": 2}
+        s = _session(journal_path=journal, **intervals)
         s.submit(2)
         s.submit(4)
         s.close()
 
-        lines = journal.read_text().splitlines()
-        rec = json.loads(lines[1])  # first event record
-        rec["json"]["record"]["size"] = 1  # not what the snapshot saw
-        lines[1] = json.dumps(rec)
-        journal.write_text("\n".join(lines) + "\n")
+        # Rewrite the first event record with a fresh, valid CRC: the
+        # frame layer accepts it, only the snapshot digest can object.
+        data = journal.read_bytes()
+        out = bytearray(JOURNAL_MAGIC)
+        for kind, start, end, index, _value in JournalDecoder(data):
+            raw = data[start:end]
+            if kind == FRAME_PICKLE and index == 0:
+                _index, value = pickle.loads(raw[9:])
+                value["record"]["size"] = 1  # not what the snapshot saw
+                raw = frame_bytes(FRAME_PICKLE, pickle.dumps((index, value)))
+            out += raw
+        assert bytes(out) != data
+        journal.write_bytes(bytes(out))
 
         with pytest.raises(CheckpointError, match="diverges from the snapshot"):
-            _session(
-                journal_path=journal, snapshot_interval=2, journal_format="v1"
-            )
+            _session(journal_path=journal, **intervals)

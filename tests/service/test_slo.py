@@ -274,6 +274,30 @@ class TestBackpressure:
         assert s.overloaded  # still above low: stays tripped
         s.close()
 
+    def test_push_batch_group_commits_under_batch_policy(self, tmp_path):
+        """A gated push_batch is durable on return under ``batch`` (also
+        when a record raises); ``interval`` leaves it to the timer."""
+        slo = SLOPolicy(slowdown_target=4.0, queue_capacity=8)
+        records = [
+            {"kind": "arrival", "size": 1, "time": float(i)} for i in range(40)
+        ]
+        for policy, pending in (("batch", 0), ("interval:3600000", 40)):
+            s = _session(
+                n=64, slo=slo, journal_path=tmp_path / f"{policy}.j",
+                fsync_policy=policy,
+            )
+            s.push_batch(records)
+            assert s.journal_pending == pending
+            s.close()
+        s = _session(
+            n=64, slo=slo, journal_path=tmp_path / "raise.j",
+            fsync_policy="batch",
+        )
+        with pytest.raises(SimulationError, match="unknown event record kind"):
+            s.push_batch(records[:5] + [{"kind": "bogus"}])
+        assert s.num_events == 5 and s.journal_pending == 0
+        s.close()
+
     def test_no_journal_means_never_overloaded(self):
         slo = SLOPolicy(slowdown_target=1.0, high_watermark=1, low_watermark=1)
         s = _session(n=8, slo=slo)

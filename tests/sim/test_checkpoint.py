@@ -1,6 +1,7 @@
 """CheckpointJournal: durability, recovery, and workload pinning."""
 
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -10,6 +11,15 @@ from repro.sim.checkpoint import (
     JOURNAL_VERSION,
     CheckpointJournal,
     workload_fingerprint,
+)
+from repro.sim.frames import (
+    FRAME_ATTACH,
+    FRAME_HEADER,
+    FRAME_PICKLE,
+    JOURNAL_MAGIC,
+    JournalDecoder,
+    decode_journal,
+    frame_bytes,
 )
 
 FP = {"kind": "test", "what": "checkpoint-unit"}
@@ -62,18 +72,38 @@ class TestWorkloadPinning:
     def test_version_mismatch_is_refused(self, tmp_path):
         path = tmp_path / "j.ckpt"
         CheckpointJournal(path, fingerprint=FP).close()
-        lines = path.read_text().splitlines()
-        header = json.loads(lines[0])
+        header = decode_journal(path.read_bytes()).header
         header["version"] = JOURNAL_VERSION + 1
-        path.write_text(json.dumps(header) + "\n")
+        path.write_bytes(
+            JOURNAL_MAGIC + frame_bytes(FRAME_HEADER, json.dumps(header).encode())
+        )
         with pytest.raises(CheckpointError, match="version"):
             CheckpointJournal(path, fingerprint=FP)
 
     def test_foreign_file_is_refused(self, tmp_path):
         path = tmp_path / "j.ckpt"
-        path.write_text('{"kind": "something-else"}\n')
-        with pytest.raises(CheckpointError):
+        path.write_bytes(
+            JOURNAL_MAGIC + frame_bytes(FRAME_HEADER, b'{"kind": "something-else"}')
+        )
+        with pytest.raises(CheckpointError, match="kind='something-else'"):
             CheckpointJournal(path, fingerprint=FP)
+
+    def test_old_jsonl_journal_is_refused_untouched(self, tmp_path):
+        """A JSONL journal from an older build is neither read nor
+        truncated: the open fails and the file keeps every byte."""
+        path = tmp_path / "j.ckpt"
+        old = (
+            json.dumps({"kind": "repro-checkpoint", "version": 1,
+                        "fingerprint": "0" * 64})
+            + "\n"
+            + json.dumps({"cell": 0, "json": "a"})
+            + "\n"
+            + '{"cell": 1, "js'
+        ).encode()
+        path.write_bytes(old)
+        with pytest.raises(CheckpointError, match="not a framed journal"):
+            CheckpointJournal(path, fingerprint=FP)
+        assert path.read_bytes() == old
 
     def test_workload_fingerprint_tracks_cells_and_streams(self):
         cells = [{"n": 16, "seed": 0}, {"n": 32, "seed": 1}]
@@ -92,13 +122,13 @@ class TestCrashRecovery:
         journal.record(0, "a")
         journal.record(1, "b")
         journal.close()
+        return path.read_bytes()
 
     def test_truncated_final_record_is_dropped_with_warning(self, tmp_path):
         path = tmp_path / "j.ckpt"
-        self._journal_with_two_records(path)
-        raw = path.read_text()
-        path.write_text(raw[:-10])  # crash mid-write of the last record
-        with pytest.warns(UserWarning, match="corrupt tail"):
+        raw = self._journal_with_two_records(path)
+        path.write_bytes(raw[:-10])  # crash mid-write of the last frame
+        with pytest.warns(UserWarning, match="corrupt tail.*torn payload"):
             journal = CheckpointJournal(path, fingerprint=FP)
         assert journal.completed() == {0: "a"}
         journal.record(1, "b2")  # journal is writable again after recovery
@@ -107,31 +137,41 @@ class TestCrashRecovery:
             assert journal.completed() == {0: "a", 1: "b2"}
 
     def test_unterminated_but_parseable_final_line_is_still_dropped(self, tmp_path):
+        """The unterminated-write case of the frame format: a final
+        frame cut inside its 9-byte header is dropped, even though every
+        byte before the cut is intact."""
         path = tmp_path / "j.ckpt"
-        self._journal_with_two_records(path)
-        raw = path.read_text()
-        assert raw.endswith("\n")
-        path.write_text(raw[:-1])  # valid JSON, missing only the newline
-        with pytest.warns(UserWarning, match="truncated final record"):
+        raw = self._journal_with_two_records(path)
+        _kind, last_start, _end, _index, _value = list(JournalDecoder(raw))[-1]
+        path.write_bytes(raw[: last_start + 4])
+        with pytest.warns(UserWarning, match="truncated header"):
             journal = CheckpointJournal(path, fingerprint=FP)
         assert journal.completed() == {0: "a"}
         journal.close()
+        assert path.read_bytes() == raw[:last_start]
 
     def test_garbage_record_line_truncates_from_there(self, tmp_path):
+        """A frame whose CRC holds but whose payload will not unpickle is
+        the corrupt tail: it and everything after it are cut away."""
         path = tmp_path / "j.ckpt"
-        self._journal_with_two_records(path)
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"cell": 2, "data": "not-base64-pickle!!"}\n')
-        with pytest.warns(UserWarning, match="corrupt tail"):
+        raw = self._journal_with_two_records(path)
+        tail = frame_bytes(FRAME_PICKLE, b"not-a-pickle!!") + frame_bytes(
+            FRAME_PICKLE, pickle.dumps((3, "c"))
+        )
+        path.write_bytes(raw + tail)
+        with pytest.warns(UserWarning, match="corrupt tail.*frame payload"):
             journal = CheckpointJournal(path, fingerprint=FP)
         assert journal.completed() == {0: "a", 1: "b"}
         journal.close()
+        assert path.read_bytes() == raw
 
     def test_missing_header_is_an_error(self, tmp_path):
         path = tmp_path / "j.ckpt"
-        path.write_text("")
-        with pytest.raises(CheckpointError, match="no readable header"):
-            CheckpointJournal(path, fingerprint=FP)
+        for data in (b"", JOURNAL_MAGIC, JOURNAL_MAGIC + b"\x05\x00"):
+            path.write_bytes(data)
+            with pytest.raises(CheckpointError, match="no readable header"):
+                CheckpointJournal(path, fingerprint=FP)
+            assert path.read_bytes() == data
 
 
 class TestFsyncPolicies:
@@ -195,3 +235,41 @@ class TestFsyncPolicies:
             journal.record(2, "c")
         with CheckpointJournal(path, fingerprint=FP, fsync_policy="always") as journal:
             assert journal.completed() == {0: "a", 1: "b", 2: "c"}
+
+
+class TestDropTail:
+    @staticmethod
+    def _records(count):
+        return [
+            {"kind": "arrival", "time": float(i), "id": i, "size": 1, "work": 1.0}
+            for i in range(count)
+        ]
+
+    def test_cut_inside_a_batch_keeps_its_prefix(self, tmp_path):
+        path = tmp_path / "j.ckpt"
+        items = [(i, {"record": r}) for i, r in enumerate(self._records(12))]
+        items[3][1]["delta"] = {"events": 4}
+        items[9][1]["delta"] = {"events": 10}
+        with CheckpointJournal(path, fingerprint=FP, fsync_policy="batch") as journal:
+            journal.record_many(items[:8])  # one batch frame + an attach
+            journal.record_many(items[8:])
+            journal.record(12, "tail")
+            journal.drop_tail(5)
+            assert journal.completed() == dict(items[:5])
+            journal.record(5, "after")
+        # The split batch survives as per-record frames, its in-range
+        # rider as an attach; the later batch, rider and record are gone.
+        kinds = [frame[0] for frame in JournalDecoder(path.read_bytes())]
+        assert kinds == (
+            [FRAME_HEADER] + [FRAME_PICKLE] * 5 + [FRAME_ATTACH, FRAME_PICKLE]
+        )
+        with CheckpointJournal(path, fingerprint=FP) as journal:
+            assert journal.completed() == {**dict(items[:5]), 5: "after"}
+
+    def test_nothing_at_or_past_the_cut_is_a_no_op(self, tmp_path):
+        path = tmp_path / "j.ckpt"
+        with CheckpointJournal(path, fingerprint=FP) as journal:
+            journal.record_many([(0, "a"), (1, "b")])
+            before = path.read_bytes()
+            journal.drop_tail(2)
+        assert path.read_bytes() == before

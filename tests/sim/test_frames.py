@@ -1,6 +1,6 @@
 """Frame codec torture tests: every way a journal or socket can break.
 
-The v2 journal and the worker wire protocol share one codec, so its
+The journal and the worker wire protocol share one codec, so its
 failure modes are the service's failure modes: a SIGKILL tears the tail
 mid-frame, a bad disk flips a CRC byte, a crash cuts the length prefix
 short.  Each case must be *detected* (never silently mis-parsed) and,
@@ -8,16 +8,20 @@ for the scanning entry points, must surrender exactly the intact prefix.
 """
 
 import io
+import pickle
 
 import pytest
 
 from repro.sim.frames import (
     FRAME_ATTACH,
-    FRAME_JSON,
+    FRAME_BATCH,
+    FRAME_HEADER,
     FRAME_PICKLE,
     JOURNAL_MAGIC,
     FrameError,
     RoutedColumns,
+    JournalDecoder,
+    decode_journal,
     decode_record_batch,
     decode_routed_columns,
     encode_routed_records,
@@ -152,40 +156,105 @@ class TestColumnarRoundTrips:
         assert decode_routed_columns(b"not a pickle") is None
 
 
+def _pickled(index, value):
+    return frame_bytes(FRAME_PICKLE, pickle.dumps((index, value)))
+
+
 class TestIterJournalPayloads:
     def test_v2_attach_merges_and_last_wins(self, tmp_path):
-        import json as _json
-        import pickle as _pickle
-
         path = tmp_path / "j.v2"
         path.write_bytes(
             JOURNAL_MAGIC
-            + frame_bytes(1, b'{"kind": "h"}')
-            + frame_bytes(FRAME_JSON, _json.dumps([0, {"record": 1}]).encode())
-            + frame_bytes(FRAME_ATTACH, _pickle.dumps((0, {"snapshot": "s"})))
-            + frame_bytes(FRAME_JSON, _json.dumps([0, {"record": 2}]).encode())
+            + frame_bytes(FRAME_HEADER, b'{"kind": "h"}')
+            + _pickled(0, {"record": 1})
+            + frame_bytes(FRAME_ATTACH, pickle.dumps((0, {"snapshot": "s"})))
+            + _pickled(0, {"record": 2})
         )
         assert iter_journal_payloads(path) == [(0, {"record": 2})]
 
     def test_v2_corrupt_tail_is_ignored(self, tmp_path):
         path = tmp_path / "j.v2"
-        good = frame_bytes(FRAME_PICKLE, __import__("pickle").dumps((3, "x")))
         path.write_bytes(
-            JOURNAL_MAGIC + frame_bytes(1, b"{}") + good + b"\x07\x00\x00"
+            JOURNAL_MAGIC
+            + frame_bytes(FRAME_HEADER, b"{}")
+            + _pickled(3, "x")
+            + b"\x07\x00\x00"
         )
         assert iter_journal_payloads(path) == [(3, "x")]
 
-    def test_v1_unterminated_tail_is_ignored(self, tmp_path):
+    def test_old_jsonl_journal_yields_nothing(self, tmp_path):
         path = tmp_path / "j.v1"
         path.write_text(
             '{"kind": "h"}\n'
             '{"cell": 0, "json": {"record": "a"}}\n'
-            '{"cell": 1, "json": {"record": '
         )
-        assert iter_journal_payloads(path) == [(0, {"record": "a"})]
+        assert iter_journal_payloads(path) == []
 
     def test_unrecognisable_file_is_empty(self, tmp_path):
         path = tmp_path / "junk"
         path.write_bytes(b"\x00\x01\x02")
         assert iter_journal_payloads(path) == []
         assert iter_journal_payloads(tmp_path / "absent") == []
+
+
+class TestDecodeJournal:
+    """The one journal decoder: every caller sees the same records."""
+
+    def _journal(self):
+        batch = encode_wire_records(
+            [
+                {"kind": "arrival", "time": 0.0, "id": 0, "size": 2, "work": 1.0},
+                {"kind": "departure", "time": 1.0, "id": 0},
+            ]
+        )
+        return (
+            JOURNAL_MAGIC
+            + frame_bytes(FRAME_HEADER, b'{"kind": "h"}')
+            + _pickled(0, {"record": "a"})
+            + frame_bytes(FRAME_BATCH, (1).to_bytes(8, "little") + batch)
+            + frame_bytes(FRAME_ATTACH, pickle.dumps((2, {"delta": 7})))
+        )
+
+    def test_frames_cover_the_file_and_index_their_records(self):
+        data = self._journal()
+        decoded = JournalDecoder(data)
+        frames = list(decoded)
+        assert decoded.header == {"kind": "h"}
+        assert decoded.bad_reason is None and decoded.good_end == len(data)
+        assert [(kind, index) for kind, _s, _e, index, _v in frames] == [
+            (FRAME_HEADER, -1), (FRAME_PICKLE, 0), (FRAME_BATCH, 1),
+            (FRAME_ATTACH, 2),
+        ]
+        spans = [(start, end) for _k, start, end, _i, _v in frames]
+        assert spans[0][0] == len(JOURNAL_MAGIC) and spans[-1][1] == len(data)
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+        assert decoded.payloads[2] == {
+            "record": {"kind": "departure", "time": 1.0, "id": 0},
+            "delta": 7,
+        }
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            frame_bytes(FRAME_ATTACH, pickle.dumps((9, {"delta": 1}))),
+            frame_bytes(42, b"future"),
+            frame_bytes(FRAME_PICKLE, b"not a pickle"),
+            frame_bytes(FRAME_BATCH, (0).to_bytes(8, "little") + b"junk"),
+        ],
+        ids=["orphan-attach", "unknown-kind", "bad-pickle", "bad-batch"],
+    )
+    def test_undecodable_frame_ends_the_good_prefix(self, bad):
+        data = self._journal()
+        decoded = decode_journal(data + bad + _pickled(9, "after"))
+        assert decoded.good_end == len(data)
+        assert decoded.bad_reason.startswith("frame payload")
+        assert sorted(decoded.payloads) == [0, 1, 2]
+
+    def test_record_before_the_header_leaves_no_header(self):
+        decoded = decode_journal(JOURNAL_MAGIC + _pickled(0, "x"))
+        assert decoded.header is None and decoded.payloads == {}
+
+    def test_missing_magic_decodes_nothing(self):
+        decoded = JournalDecoder(b'{"kind": "repro-checkpoint"}\n')
+        assert list(decoded) == []
+        assert decoded.header is None and decoded.good_end == 0

@@ -193,6 +193,39 @@ class TestVerifyCommand:
         assert "all corpus entries pass" in out
 
 
+class TestJournalCommands:
+    def test_verify_journal_kills_inside_delta_windows(self, capsys):
+        argv = ["verify", "--journal", "--n", "64", "--sequences", "2",
+                "--algorithms", "greedy"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "verdict            : OK" in out
+        kills = next(l for l in out.splitlines() if l.startswith("kill points"))
+        assert "(0 inside" not in kills
+
+    def test_dump_reads_frames_and_refuses_jsonl(self, tmp_path, capsys):
+        from repro.core.registry import make_algorithm
+        from repro.machines.tree import TreeMachine
+        from repro.service import AllocationSession
+
+        journal = tmp_path / "s.journal"
+        machine = TreeMachine(8)
+        with AllocationSession(
+            machine, make_algorithm("greedy", machine), journal_path=journal
+        ) as session:
+            session.submit(2)
+            session.submit(4)
+        assert main(["journal", "dump", str(journal)]) == 0
+        out = capsys.readouterr().out
+        assert "frames             : header=1 pickle=2" in out
+        assert "records            : 2 logical record(s)" in out
+
+        old = tmp_path / "old.journal"
+        old.write_text('{"kind": "repro-checkpoint", "version": 1}\n')
+        assert main(["journal", "dump", str(old)]) == 2
+        assert "not a framed journal" in capsys.readouterr().err
+
+
 class TestInterrupts:
     """Exit-code conventions when the user (or the pipe) goes away."""
 
