@@ -85,6 +85,68 @@ def _state_digest(state: Mapping[str, Any]) -> str:
     ).hexdigest()
 
 
+#: Kind codes of a normalised record (``_Batch.kinds``): arrivals and
+#: coordinator ``placed`` records, departures, kills, other faults/resizes.
+#: Codes 0/1 are the columnar wire layout's.
+_ARRIVAL, _DEPARTURE, _KILL, _OTHER = 0, 1, 2, 3
+
+
+def _wire(kind: str, time: Optional[float], **fields: Any) -> dict[str, Any]:
+    """A wire record from a public mutator's arguments (None = implicit)."""
+    record = {"kind": kind, "time": time, **fields}
+    return {k: v for k, v in record.items() if v is not None}
+
+
+class _Batch:
+    """Normalised records: the kernel events plus the columns that session
+    bookkeeping and the journal read.
+
+    ``extra`` maps a position to the record journaled there when it is
+    not a plain arrival/departure (fault and resize records, and every
+    record of an external-placement session, kept verbatim); ``nodes``
+    maps coordinator ``placed`` arrivals to their node.  ``cols`` is set
+    when the batch came in as routed columns, whose encoded blob is
+    journaled as is.
+    """
+
+    __slots__ = ("events", "kinds", "times", "ids", "sizes", "works",
+                 "extra", "nodes", "cols", "error")
+
+    def __init__(self) -> None:
+        self.events: list[Any] = []
+        self.kinds: Any = bytearray()
+        self.times: Any = []
+        self.ids: Any = []
+        self.sizes: list[int] = []
+        self.works: list[float] = []
+        self.extra: dict[int, Mapping[str, Any]] = {}
+        self.nodes: dict[int, NodeId] = {}
+        self.cols: Optional[RoutedColumns] = None
+        self.error: Optional[Exception] = None
+
+    def record_at(self, i: int) -> dict[str, Any]:
+        """The normalised journal record at position ``i`` (a new dict)."""
+        t = self.times[i]
+        extra = self.extra.get(i)
+        if extra is not None:
+            out = dict(extra)
+            out["time"] = t
+            return out
+        if self.kinds[i] == _ARRIVAL:
+            return {"kind": "arrival", "time": t, "id": self.ids[i],
+                    "size": self.sizes[i], "work": self.works[i]}
+        return {"kind": "departure", "time": t, "id": self.ids[i]}
+
+    def blob(self, count: int) -> bytes:
+        """The first ``count`` records as one columnar batch blob."""
+        if self.cols is not None:
+            return self.cols.encoded()
+        return encode_wire_columns(
+            self.kinds[:count], self.times[:count], self.ids[:count],
+            self.sizes[:count], self.works[:count],
+        )
+
+
 class AllocationSession:
     """One tenant's interactive allocation service on one machine.
 
@@ -233,16 +295,12 @@ class AllocationSession:
         return out
 
     # -- Event intake --------------------------------------------------------
-
-    def _clock(self, time: Optional[float]) -> float:
-        if time is None:
-            return self._now + 1.0 if self._offered else 0.0
-        t = float(time)
-        if t < self._now:
-            raise SimulationError(
-                f"event time {t} precedes the session clock ({self._now})"
-            )
-        return t
+    #
+    # Every entry point — push, the public mutators, push_batch, offer and
+    # its queue drain, the routed shard intake and journal replay — runs
+    # the same three steps: _normalise (wire records -> kernel events plus
+    # journal columns), _apply (the kernel, one event being a batch of
+    # one) and _commit (session bookkeeping plus one journal write).
 
     def submit(
         self,
@@ -257,83 +315,33 @@ class AllocationSession:
         In SLO mode the arrival goes through :meth:`offer` and the typed
         admission outcome is returned instead.
         """
-        if self._slo is not None:
-            record: dict[str, Any] = {
-                "kind": "arrival", "size": int(size), "work": float(work)
-            }
-            if time is not None:
-                record["time"] = time
-            if task_id is not None:
-                record["id"] = task_id
-            return self.offer(record)
-        return self._submit_event(size, time=time, task_id=task_id, work=work)
-
-    def _submit_event(
-        self,
-        size: int,
-        *,
-        time: Optional[float] = None,
-        task_id: Optional[int] = None,
-        work: float = 1.0,
-    ) -> Decision:
-        t = self._clock(time)
-        tid = self._next_task_id if task_id is None else int(task_id)
-        task = Task(TaskId(tid), int(size), t, work=float(work))
-        return self._absorb(
-            Arrival(t, task),
-            {"kind": "arrival", "time": t, "id": tid, "size": int(size),
-             "work": float(work)},
+        return self.push(
+            _wire("arrival", time, id=task_id, size=size, work=work)
         )
 
     def depart(
         self, task_id: int, *, time: Optional[float] = None
     ) -> Union[Decision, AdmissionOutcome]:
         """Retire one active task (via :meth:`offer` in SLO mode)."""
-        if self._slo is not None:
-            record: dict[str, Any] = {"kind": "departure", "id": int(task_id)}
-            if time is not None:
-                record["time"] = time
-            return self.offer(record)
-        return self._depart_event(task_id, time=time)
-
-    def _depart_event(
-        self, task_id: int, *, time: Optional[float] = None
-    ) -> Decision:
-        t = self._clock(time)
-        return self._absorb(
-            Departure(t, TaskId(int(task_id))),
-            {"kind": "departure", "time": t, "id": int(task_id)},
-        )
+        return self.push(_wire("departure", time, id=task_id))
 
     def fail(
         self, node: int, *, time: Optional[float] = None
     ) -> Union[Decision, AdmissionOutcome]:
         """Fail the aligned subtree at ``node`` (fault-tolerant sessions)."""
-        if self._slo is not None:
-            return self.offer(self._timed({"kind": "failure", "node": int(node)}, time))
-        return self._fault_event("failure", node=int(node), time=time)
+        return self.push(_wire("failure", time, node=node))
 
     def repair(
         self, node: int, *, time: Optional[float] = None
     ) -> Union[Decision, AdmissionOutcome]:
         """Repair a previously-failed subtree (fault-tolerant sessions)."""
-        if self._slo is not None:
-            return self.offer(self._timed({"kind": "repair", "node": int(node)}, time))
-        return self._fault_event("repair", node=int(node), time=time)
+        return self.push(_wire("repair", time, node=node))
 
     def kill(
         self, task_id: int, *, time: Optional[float] = None
     ) -> Union[Decision, AdmissionOutcome]:
         """Kill one task in place (fault-tolerant sessions)."""
-        if self._slo is not None:
-            return self.offer(self._timed({"kind": "kill", "id": int(task_id)}, time))
-        return self._fault_event("kill", task_id=int(task_id), time=time)
-
-    @staticmethod
-    def _timed(record: dict[str, Any], time: Optional[float]) -> dict[str, Any]:
-        if time is not None:
-            record["time"] = time
-        return record
+        return self.push(_wire("kill", time, id=task_id))
 
     def grow(
         self, factor: int = 2, *, time: Optional[float] = None
@@ -360,59 +368,7 @@ class AllocationSession:
         journaled like any other event, so a resumed session replays the
         same machine-size trajectory.
         """
-        if self._slo is not None:
-            return self.offer(self._timed(
-                {"kind": "resize", "op": str(op), "factor": int(factor)}, time
-            ))
-        return self._resize_event(op, factor, time=time)
-
-    def _resize_event(
-        self, op: str, factor: int = 2, *, time: Optional[float] = None
-    ) -> Decision:
-        if not self._fault_tolerant:
-            raise SimulationError(
-                "resize events need a fault-tolerant session "
-                "(AllocationSession(..., fault_tolerant=True))"
-            )
-        from repro.scenarios.elastic import MachineResize
-
-        t = self._clock(time)
-        event = MachineResize(t, str(op), int(factor))
-        return self._absorb(
-            event,
-            {"kind": "resize", "time": t, "op": event.op,
-             "factor": event.factor},
-        )
-
-    def _fault_event(
-        self,
-        kind: str,
-        *,
-        node: Optional[int] = None,
-        task_id: Optional[int] = None,
-        time: Optional[float] = None,
-    ) -> Decision:
-        if not self._fault_tolerant:
-            raise SimulationError(
-                f"{kind} events need a fault-tolerant session "
-                "(AllocationSession(..., fault_tolerant=True))"
-            )
-        from repro.faults.plan import PEFailure, PERepair, TaskKill
-
-        t = self._clock(time)
-        if kind == "failure":
-            assert node is not None
-            event: Any = PEFailure(t, NodeId(node))
-            record: dict[str, Any] = {"kind": kind, "time": t, "node": node}
-        elif kind == "repair":
-            assert node is not None
-            event = PERepair(t, NodeId(node))
-            record = {"kind": kind, "time": t, "node": node}
-        else:
-            assert task_id is not None
-            event = TaskKill(t, TaskId(task_id))
-            record = {"kind": kind, "time": t, "id": task_id}
-        return self._absorb(event, record)
+        return self.push(_wire("resize", time, op=op, factor=factor))
 
     def push(self, record: Mapping[str, Any]) -> Union[Decision, AdmissionOutcome]:
         """Absorb one wire-format event record (see :mod:`.stream`).
@@ -422,35 +378,295 @@ class AllocationSession:
         """
         if self._slo is not None:
             return self.offer(record)
-        return self._apply_record(record)
+        return self._step(self._normalise((record,)))
 
-    def _apply_record(self, record: Mapping[str, Any]) -> Decision:
-        """Ungated record dispatch — the pre-SLO :meth:`push` semantics."""
-        kind = record.get("kind")
-        if kind == "arrival":
-            return self._submit_event(
-                int(record["size"]),
-                time=record.get("time"),
-                task_id=record.get("id"),
-                work=float(record.get("work", 1.0)),
-            )
-        if kind == "departure":
-            return self._depart_event(int(record["id"]), time=record.get("time"))
-        if kind == "kill":
-            return self._fault_event(
-                "kill", task_id=int(record["id"]), time=record.get("time")
-            )
-        if kind in ("failure", "repair"):
-            return self._fault_event(
-                kind, node=int(record["node"]), time=record.get("time")
+    def push_batch(
+        self, records: Sequence[Mapping[str, Any]]
+    ) -> Union[BatchDecision, list[AdmissionOutcome]]:
+        """Absorb a batch of wire-format records in one amortised call.
+
+        Bit-identical to :meth:`push`-ing each record — same decisions,
+        metrics, clock/task-id assignment and resumed state — but the
+        kernel meters the batch in one pass
+        (:meth:`AllocationKernel.apply_batch`) and the journal absorbs it
+        as one group commit (one write, one ``fsync``): a single columnar
+        frame when every record is a plain arrival or departure.  A crash
+        mid-call therefore loses at most this one batch; once
+        ``push_batch`` returns under the ``always`` or ``batch`` policy
+        the batch is durable.
+
+        If a record is invalid or an event fails in the kernel, every
+        preceding event is fully applied and journaled (exactly as the
+        per-event path would leave it) and a
+        :class:`~repro.errors.BatchError` carrying the applied prefix is
+        raised.
+
+        SLO sessions delegate to :meth:`offer_batch` (admission gating is
+        per-event) and return its outcome list.
+        """
+        if self._slo is not None:
+            return self.offer_batch(records)
+        return self._ingest_batch(self._normalise(records))
+
+    def flush(self) -> None:
+        """Make buffered journal records durable (group-commit boundary).
+
+        A no-op without a journal or when nothing is pending; under the
+        ``always`` policy there is never anything to flush.
+        """
+        if self._journal is not None:
+            self._journal.commit()
+
+    def _normalise(self, records: Sequence[Mapping[str, Any]]) -> "_Batch":
+        """Validate wire records into kernel events and journal columns.
+
+        One pass, no per-record dicts on the arrival/departure hot path:
+        implicit times continue the session clock (``0`` for the first
+        event, then ``now + 1``), implicit arrival ids take the next free
+        id, fault and resize records need a fault-tolerant session, and
+        an external-placement session also takes coordinator ``placed``
+        records and journals every record verbatim (coordinator metadata
+        such as ``gsn`` survives into the shard journal).  Stops at the
+        first invalid record, keeping its exception in ``error``; nothing
+        of the session changes here.
+        """
+        batch = _Batch()
+        events, kinds, times = batch.events, batch.kinds, batch.times
+        ids, sizes, works = batch.ids, batch.sizes, batch.works
+        verbatim = self.algorithm is None
+        now = self._now
+        started = self._offered > 0
+        next_id = self._next_task_id
+        for i, record in enumerate(records):
+            try:
+                kind = record.get("kind")
+                t = record.get("time")
+                if t is None:
+                    t = now + 1.0 if started else 0.0
+                else:
+                    if type(t) is not float:
+                        t = float(t)
+                    if t < now:
+                        raise SimulationError(
+                            f"event time {t} precedes the session clock ({now})"
+                        )
+                size, work = 0, 0.0
+                if kind == "arrival" or (kind == "placed" and verbatim):
+                    tid = record.get("id")
+                    if tid is None:
+                        tid = next_id
+                    elif type(tid) is not int:
+                        tid = int(tid)
+                    size = record["size"]
+                    if type(size) is not int:
+                        size = int(size)
+                    work = record.get("work", 1.0)
+                    if type(work) is not float:
+                        work = float(work)
+                    event: Any = Arrival(t, Task(TaskId(tid), size, t, work=work))
+                    code = _ARRIVAL
+                    if kind == "placed":
+                        batch.nodes[i] = NodeId(int(record["node"]))
+                    if tid >= next_id:
+                        next_id = tid + 1
+                elif kind == "departure":
+                    tid = record["id"]
+                    if type(tid) is not int:
+                        tid = int(tid)
+                    event = Departure(t, TaskId(tid))
+                    code = _DEPARTURE
+                else:
+                    event, norm = self._normalise_fault(kind, t, record)
+                    batch.extra[i] = norm
+                    code = _KILL if kind == "kill" else _OTHER
+                    tid = norm.get("id", -1)
+            except (ReproError, KeyError, TypeError, ValueError) as exc:
+                batch.error = exc
+                break
+            if verbatim:
+                batch.extra[i] = record
+            events.append(event)
+            kinds.append(code)
+            times.append(t)
+            ids.append(tid)
+            sizes.append(size)
+            works.append(work)
+            now = t
+            started = True
+        return batch
+
+    def _normalise_fault(
+        self, kind: Any, t: float, record: Mapping[str, Any]
+    ) -> tuple[Any, dict[str, Any]]:
+        """Kernel event and journal record of a fault or resize record."""
+        if kind not in ("failure", "repair", "kill", "resize"):
+            raise SimulationError(f"unknown event record kind {kind!r}")
+        tid = int(record["id"]) if kind == "kill" else -1
+        ctrl = self._slo
+        # A kill of a task the admission gate holds resolves as a cancel
+        # and never reaches the kernel, so it needs no fault tolerance.
+        held = ctrl is not None and (ctrl.is_pending(tid) or ctrl.was_dropped(tid))
+        if not (self._fault_tolerant or held):
+            raise SimulationError(
+                f"{kind} events need a fault-tolerant session "
+                "(AllocationSession(..., fault_tolerant=True))"
             )
         if kind == "resize":
-            return self._resize_event(
-                str(record["op"]),
-                int(record.get("factor", 2)),
-                time=record.get("time"),
+            from repro.scenarios.elastic import MachineResize
+
+            event = MachineResize(
+                t, str(record["op"]), int(record.get("factor", 2))
             )
-        raise SimulationError(f"unknown event record kind {kind!r}")
+            return event, {"kind": kind, "time": t, "op": event.op,
+                           "factor": event.factor}
+        from repro.faults.plan import PEFailure, PERepair, TaskKill
+
+        if kind == "kill":
+            return TaskKill(t, TaskId(tid)), {"kind": kind, "time": t, "id": tid}
+        node = int(record["node"])
+        norm: dict[str, Any] = {"kind": kind, "time": t, "node": node}
+        if kind == "failure":
+            return PEFailure(t, NodeId(node)), norm
+        return PERepair(t, NodeId(node)), norm
+
+    def _apply(self, batch: "_Batch") -> BatchDecision:
+        """Run the normalised events through the kernel.
+
+        Raises :class:`~repro.errors.BatchError` carrying the applied
+        prefix; the kernel state then equals the per-event path after it.
+        Coordinator ``placed`` arrivals are booked at their given node
+        (:meth:`AllocationKernel.apply_placed`).
+        """
+        kernel = self.kernel
+        nodes = batch.nodes
+        if not nodes:
+            return kernel.apply_batch(batch.events)
+        decisions: list[Decision] = []
+        try:
+            for i, event in enumerate(batch.events):
+                node = nodes.get(i)
+                if node is None:
+                    decisions.extend(kernel.apply_batch((event,)).decisions)
+                else:
+                    decisions.append(
+                        kernel.apply_placed(event.time, event.task, node)
+                    )
+        except ReproError as exc:
+            cause = exc.__cause__ if isinstance(exc, BatchError) else exc
+            raise BatchError(
+                f"batch event {len(decisions)} failed: {cause}",
+                applied=len(decisions),
+                decisions=decisions,
+            ) from cause
+        return BatchDecision.summarize(
+            tuple(decisions),
+            max_load=kernel.current_max_load,
+            active_size=kernel.active_size(),
+            optimal_load=kernel.optimal_load,
+        )
+
+    def _commit(
+        self,
+        batch: "_Batch",
+        count: int,
+        *,
+        group: bool = False,
+        mark: Optional[str] = None,
+    ) -> None:
+        """Advance the session over the first ``count`` normalised records
+        and journal them.
+
+        ``group`` writes them as one group commit — a columnar
+        :meth:`~CheckpointJournal.record_batch_blob` frame when every
+        record is a plain arrival/departure, else
+        :meth:`~CheckpointJournal.record_many` — instead of one
+        :meth:`~CheckpointJournal.record`.  ``mark`` tags an SLO admission
+        record: ``queue`` / ``reject`` / ``cancel`` hold the record back
+        from the kernel (it is journaled, not absorbed) and a ``dequeue``
+        absorbs an arrival that was already counted when offered.
+        """
+        if count <= 0:
+            return
+        absorbed = mark is None or mark == "dequeue"
+        base = len(self._events)
+        if absorbed:
+            events = batch.events
+            self._events.extend(events if count == len(events) else events[:count])
+        self._now = batch.times[count - 1]
+        if mark != "dequeue":
+            self._offered += count
+        kinds, ids = batch.kinds, batch.ids
+        next_id = self._next_task_id
+        for j in range(count):
+            if kinds[j] == _ARRIVAL and ids[j] >= next_id:
+                next_id = ids[j] + 1
+        self._next_task_id = next_id
+        journal = self._journal
+        if journal is None:
+            return
+        # A rider is due when the records cross an interval boundary (for
+        # one record, the ``len % interval == 0`` schedule): a full kernel
+        # snapshot every ``full_snapshot_interval`` events, else an O(1)
+        # delta every ``snapshot_interval``.  Mid-batch kernel states no
+        # longer exist, so it rides on the last record.
+        rider: Optional[dict[str, Any]] = None
+        end = base + count
+        full, every = self._full_snapshot_interval, self._snapshot_interval
+        if absorbed and full and end // full > base // full:
+            rider = {"snapshot": self.kernel.snapshot()}
+        elif absorbed and every and end // every > base // every:
+            rider = {"delta": self._delta_state()}
+        seq = self._journal_seq
+        if not group:
+            record = batch.record_at(0)
+            if mark is not None:
+                record["slo"] = mark
+            payload: dict[str, Any] = {"record": record}
+            if rider is not None:
+                payload.update(rider)
+            journal.record(seq, payload)
+        elif batch.cols is not None or not batch.extra:
+            extras = [] if rider is None else [(seq + count - 1, rider)]
+            journal.record_batch_blob(seq, count, batch.blob(count), extras)
+        else:
+            payloads: list[tuple[int, dict[str, Any]]] = [
+                (seq + j, {"record": batch.record_at(j)}) for j in range(count)
+            ]
+            if rider is not None:
+                payloads[-1][1].update(rider)
+            journal.record_many(payloads)
+        self._journal_seq = seq + count
+
+    def _step(self, batch: "_Batch", mark: Optional[str] = None) -> Decision:
+        """Apply and commit one normalised record; the kernel's own error
+        propagates unchanged and leaves the session untouched."""
+        if batch.error is not None:
+            raise batch.error
+        try:
+            decision = self._apply(batch).decisions[0]
+        except BatchError as exc:
+            raise (exc.__cause__ or exc) from None
+        self._commit(batch, 1, mark=mark)
+        return decision
+
+    def _ingest_batch(self, batch: "_Batch") -> BatchDecision:
+        """Apply and group-commit a normalised batch; on a bad record or
+        kernel failure commit the applied prefix, then raise
+        :class:`~repro.errors.BatchError`."""
+        try:
+            result = self._apply(batch)
+        except BatchError as exc:
+            self._commit(batch, exc.applied, group=True)
+            raise
+        applied = len(batch.events)
+        self._commit(batch, applied, group=True)
+        if batch.error is not None:
+            raise BatchError(
+                f"batch record {applied} is invalid: {batch.error}",
+                applied=applied,
+                decisions=list(result.decisions),
+            ) from batch.error
+        return result
 
     # -- SLO admission -------------------------------------------------------
 
@@ -472,21 +688,29 @@ class AllocationSession:
         Every decision is journaled, so a resumed session reproduces the
         same outcomes bit-identically.
         """
+        batch = self._normalise((record,))
         ctrl = self._slo
         if ctrl is None:
-            decision = self._apply_record(record)
-            return Admit(record=dict(record), decision=decision)
-        kind = record.get("kind")
-        if kind == "arrival":
-            return self._offer_arrival(record)
-        if kind in ("departure", "kill"):
-            tid = int(record["id"])
+            return Admit(record=dict(record), decision=self._step(batch))
+        if batch.error is not None:
+            raise batch.error
+        code = batch.kinds[0]
+        tid = batch.ids[0]
+        if code == _ARRIVAL:
+            return self._offer_arrival(batch)
+        if code in (_DEPARTURE, _KILL):
             active = TaskId(tid) in self.kernel.placements
             if not active and (ctrl.is_pending(tid) or ctrl.was_dropped(tid)):
-                return self._cancel(str(kind), record, tid)
-        decision = self._apply_record(record)
-        drained = self._drain()
-        return Admit(record=dict(record), decision=decision, drained=drained)
+                dequeued = bool(self._hold(batch, "cancel"))
+                # Removing the (possibly blocking) head can expose an
+                # admissible successor — same drain discipline as a
+                # capacity-freeing event.
+                return Cancel(
+                    record=dict(record), task_id=tid, dequeued=dequeued,
+                    drained=self._drain() if dequeued else (),
+                )
+        decision = self._step(batch)
+        return Admit(record=dict(record), decision=decision, drained=self._drain())
 
     def _admissible(self, size: int) -> bool:
         assert self._slo is not None
@@ -500,69 +724,68 @@ class AllocationSession:
             # it stays queued until a grow makes it placeable again.
             return False
 
-    def _offer_arrival(self, record: Mapping[str, Any]) -> AdmissionOutcome:
+    def _offer_arrival(self, batch: "_Batch") -> AdmissionOutcome:
         ctrl = self._slo
         assert ctrl is not None
-        size = int(record["size"])
+        size = batch.sizes[0]
+        tid = batch.ids[0]
         self.machine.validate_task_size(size)
-        t = self._clock(record.get("time"))
-        rid = record.get("id")
-        tid = self._next_task_id if rid is None else int(rid)
         if ctrl.is_pending(tid) or TaskId(tid) in self.kernel.placements:
             raise SimulationError(f"task {tid} is already active or queued")
         ctrl.revive(tid)  # a retry of a rejected/canceled id is a fresh task
-        work = float(record.get("work", 1.0))
-        norm: dict[str, Any] = {
-            "kind": "arrival", "time": t, "id": tid, "size": size, "work": work,
-        }
+        norm = batch.record_at(0)
         if ctrl.queue_empty and self._admissible(size):
-            decision = self._absorb(Arrival(t, Task(TaskId(tid), size, t, work=work)), norm)
-            ctrl.admitted_total += 1
-            self._note_violation(decision)
-            drained = self._drain()
-            return Admit(record=norm, decision=decision, drained=drained)
+            decision = self._admit(batch)
+            return Admit(record=norm, decision=decision, drained=self._drain())
         # FIFO discipline: while anything waits, newcomers wait behind it.
-        self._now = t
-        self._next_task_id = max(self._next_task_id, tid + 1)
-        self._offered += 1
         if ctrl.queue_full:
-            ctrl.reject(tid)
-            self._journal_slo(dict(norm, slo="reject"))
+            self._hold(batch, "reject")
             return Reject(
-                record=norm,
-                task_id=tid,
-                reason=(
-                    f"admission queue full "
-                    f"({ctrl.policy.queue_capacity} waiting)"
-                ),
-                retry_after=ctrl.policy.retry_after,
+                record=norm, task_id=tid, retry_after=ctrl.policy.retry_after,
+                reason=f"admission queue full ({ctrl.policy.queue_capacity} waiting)",
             )
-        position = ctrl.enqueue(norm)
-        self._journal_slo(dict(norm, slo="queue"))
+        position = self._hold(batch, "queue")
         return Queue(
             record=norm, task_id=tid, position=position, queued=ctrl.queued
         )
 
-    def _cancel(
-        self, kind: str, record: Mapping[str, Any], tid: int
-    ) -> Cancel:
-        """A departure/kill for a task the gate held back: no kernel event."""
+    def _admit(self, batch: "_Batch", mark: Optional[str] = None) -> Decision:
+        """Place a gated arrival (``mark="dequeue"`` for a queue drain).
+
+        A placement past the load target is metered as an SLO violation:
+        impossible for target-aware algorithms behind the gate (greedy
+        places at the minimum; gated two-choice probes admissible
+        submachines only), but an SLO session can wrap any allocator —
+        the counter is how an oblivious one shows up on the dashboard.
+        """
         ctrl = self._slo
         assert ctrl is not None
-        t = self._clock(record.get("time"))
-        self._now = t
-        self._offered += 1
-        dequeued = ctrl.cancel(tid)
-        self._journal_slo(
-            {"kind": kind, "time": t, "id": tid, "slo": "cancel"}
-        )
-        # Removing the (possibly blocking) head can expose an admissible
-        # successor — same drain discipline as a capacity-freeing event.
-        drained = self._drain() if dequeued else ()
-        return Cancel(
-            record=dict(record), task_id=tid, dequeued=dequeued,
-            drained=drained,
-        )
+        decision = self._step(batch, mark)
+        ctrl.admitted_total += 1
+        if mark == "dequeue":
+            ctrl.drained_total += 1
+        node = decision.node
+        if node is not None and self.kernel.submachine_load(node) > ctrl.load_target:
+            ctrl.slo_violations += 1
+        return decision
+
+    def _hold(self, batch: "_Batch", mark: str) -> Any:
+        """Queue, reject or cancel a gated record: journaled, never
+        absorbed.  Returns the queue position or whether a cancel
+        dequeued a waiting task."""
+        ctrl = self._slo
+        assert ctrl is not None
+        tid = batch.ids[0]
+        result: Any = None
+        if mark == "queue":
+            ctrl.revive(tid)
+            result = ctrl.enqueue(batch.record_at(0))
+        elif mark == "reject":
+            ctrl.reject(tid)
+        else:
+            result = ctrl.cancel(tid)
+        self._commit(batch, 1, mark=mark)
+        return result
 
     def _drain(self) -> tuple[Decision, ...]:
         """Admit queued arrivals FIFO while the head fits the load target."""
@@ -573,41 +796,10 @@ class AllocationSession:
             head = ctrl.head()
             if head is None or not self._admissible(int(head["size"])):
                 break
-            norm = dict(ctrl.pop())
-            norm["time"] = self._now  # admitted when capacity freed, not offered
-            task = Task(
-                TaskId(int(norm["id"])), int(norm["size"]), self._now,
-                work=float(norm.get("work", 1.0)),
-            )
-            decision = self._absorb(
-                Arrival(self._now, task), dict(norm, slo="dequeue")
-            )
-            ctrl.admitted_total += 1
-            ctrl.drained_total += 1
-            self._note_violation(decision)
-            decisions.append(decision)
+            queued = ctrl.pop()
+            queued["time"] = self._now  # admitted when capacity freed, not offered
+            decisions.append(self._admit(self._normalise((queued,)), "dequeue"))
         return tuple(decisions)
-
-    def _note_violation(self, decision: Decision) -> None:
-        """Meter a placement that landed past the load target.
-
-        Impossible for target-aware algorithms behind the admission gate
-        (greedy places at the minimum; gated two-choice probes admissible
-        submachines only), but an SLO session can wrap any allocator —
-        the counter is how an oblivious one shows up on the dashboard.
-        """
-        ctrl = self._slo
-        assert ctrl is not None
-        if decision.node is not None:
-            if self.kernel.submachine_load(decision.node) > ctrl.load_target:
-                ctrl.slo_violations += 1
-
-    def _journal_slo(self, record: dict[str, Any]) -> None:
-        """Journal a non-absorbed admission decision (queue/reject/cancel)."""
-        if self._journal is None:
-            return
-        self._journal.record(self._journal_seq, {"record": record})
-        self._journal_seq += 1
 
     def offer_batch(
         self, records: Sequence[Mapping[str, Any]]
@@ -616,448 +808,78 @@ class AllocationSession:
 
         Admission is inherently per-event (each decision depends on the
         loads the previous one left), so SLO batches take the per-event
-        path; the journal still group-commits under the ``batch`` /
-        ``interval`` fsync policies, which is where batch throughput
-        lives: under ``batch`` the whole batch commits once on return
-        (also when a record raises), under ``interval`` the timer still
-        decides.  A record that raises leaves the preceding records fully
-        applied, exactly like the per-event path.
+        path; under the ``batch`` fsync policy the journal commits once on
+        return (also when a record raises), under ``interval`` the timer
+        still decides.  A record that raises leaves the preceding records
+        fully applied and surfaces as a :class:`~repro.errors.BatchError`
+        carrying that prefix (``decisions`` holds its outcomes).
         """
+        outcomes: list[AdmissionOutcome] = []
         try:
-            return [self.offer(record) for record in records]
+            for record in records:
+                try:
+                    outcomes.append(self.offer(record))
+                except (ReproError, KeyError, TypeError, ValueError) as exc:
+                    raise BatchError(
+                        f"batch record {len(outcomes)} failed: {exc}",
+                        applied=len(outcomes),
+                        decisions=outcomes,
+                    ) from exc
         finally:
             if self._journal is not None and self._journal.fsync_policy == "batch":
                 self._journal.commit()
-
-    def push_batch(
-        self, records: Sequence[Mapping[str, Any]]
-    ) -> Union[BatchDecision, list[AdmissionOutcome]]:
-        """Absorb a batch of wire-format records in one amortised call.
-
-        Bit-identical to :meth:`push`-ing each record — same decisions,
-        metrics, journal records, and clock/task-id assignment — but the
-        kernel meters the batch in one pass
-        (:meth:`AllocationKernel.apply_batch`) and the journal absorbs it
-        as one group commit (:meth:`CheckpointJournal.record_many`: one
-        write, one ``fsync``).  A crash mid-call therefore loses at most
-        this one batch; once ``push_batch`` returns under the ``always``
-        or ``batch`` policy the batch is durable.
-
-        If a record is invalid or an event fails in the kernel, every
-        preceding event is fully applied and journaled (exactly as the
-        per-event path would leave it) and a
-        :class:`~repro.errors.BatchError` carrying the applied prefix is
-        raised.
-
-        SLO sessions delegate to :meth:`offer_batch` (admission gating is
-        per-event) and return its outcome list.
-        """
-        if self._slo is not None:
-            return self.offer_batch(records)
-        fast = self._push_batch_fast(records)
-        if fast is not None:
-            return fast
-        pairs: list[tuple[Any, dict[str, Any]]] = []
-        now = self._now
-        count = self._offered
-        next_id = self._next_task_id
-        build_error: Optional[Exception] = None
-        for record in records:
-            try:
-                kind = record.get("kind")
-                t = record.get("time")
-                if t is None:
-                    t = now + 1.0 if count else 0.0
-                else:
-                    t = float(t)
-                    if t < now:
-                        raise SimulationError(
-                            f"event time {t} precedes the session clock ({now})"
-                        )
-                if kind == "arrival":
-                    rid = record.get("id")
-                    tid = next_id if rid is None else int(rid)
-                    work = float(record.get("work", 1.0))
-                    event: Any = Arrival(
-                        t, Task(TaskId(tid), int(record["size"]), t, work=work)
-                    )
-                    norm: dict[str, Any] = {
-                        "kind": "arrival", "time": t, "id": tid,
-                        "size": int(record["size"]), "work": work,
-                    }
-                    next_id = max(next_id, tid + 1)
-                elif kind == "departure":
-                    event = Departure(t, TaskId(int(record["id"])))
-                    norm = {"kind": "departure", "time": t,
-                            "id": int(record["id"])}
-                elif kind in ("failure", "repair", "kill"):
-                    if not self._fault_tolerant:
-                        raise SimulationError(
-                            f"{kind} events need a fault-tolerant session "
-                            "(AllocationSession(..., fault_tolerant=True))"
-                        )
-                    from repro.faults.plan import PEFailure, PERepair, TaskKill
-
-                    if kind == "failure":
-                        event = PEFailure(t, NodeId(int(record["node"])))
-                        norm = {"kind": kind, "time": t,
-                                "node": int(record["node"])}
-                    elif kind == "repair":
-                        event = PERepair(t, NodeId(int(record["node"])))
-                        norm = {"kind": kind, "time": t,
-                                "node": int(record["node"])}
-                    else:
-                        event = TaskKill(t, TaskId(int(record["id"])))
-                        norm = {"kind": kind, "time": t,
-                                "id": int(record["id"])}
-                elif kind == "resize":
-                    if not self._fault_tolerant:
-                        raise SimulationError(
-                            "resize events need a fault-tolerant session "
-                            "(AllocationSession(..., fault_tolerant=True))"
-                        )
-                    from repro.scenarios.elastic import MachineResize
-
-                    event = MachineResize(
-                        t, str(record["op"]), int(record.get("factor", 2))
-                    )
-                    norm = {"kind": "resize", "time": t, "op": event.op,
-                            "factor": event.factor}
-                else:
-                    raise SimulationError(
-                        f"unknown event record kind {kind!r}"
-                    )
-            except (ReproError, KeyError, TypeError, ValueError) as exc:
-                # Bad record: apply + journal the records before it, just
-                # as the per-event path would have, then report.
-                build_error = exc
-                break
-            pairs.append((event, norm))
-            now = t
-            count += 1
-        try:
-            batch = self.kernel.apply_batch([e for e, _ in pairs])
-        except BatchError as exc:
-            self._commit_batch(pairs[: exc.applied])
-            raise
-        self._commit_batch(pairs)
-        if build_error is not None:
-            raise BatchError(
-                f"batch record {len(pairs)} is invalid: {build_error}",
-                applied=len(pairs),
-                decisions=list(batch.decisions),
-            ) from build_error
-        return batch
-
-    def _push_batch_fast(
-        self, records: Sequence[Mapping[str, Any]]
-    ) -> Optional[BatchDecision]:
-        """Columnar wire-batch ingest: the journal fast path.
-
-        One pass builds the kernel events *and* the packed column arrays
-        the journal frames directly — no normalised per-record dicts
-        on the hot path.  The whole batch lands in the journal as a
-        single :meth:`~repro.sim.checkpoint.CheckpointJournal.
-        record_batch_blob` frame, which a resume decodes to exactly the
-        dicts the general path would have journaled (bit-identical
-        replay).
-
-        Returns ``None`` *before any state change* whenever a record
-        falls outside the hot schema — fault/resize kinds, implicit
-        times or ids, clock regressions, malformed fields; the caller
-        then redoes the batch on the general path, reproducing the exact
-        error text and prefix semantics.
-        A mid-batch kernel failure commits and journals the applied
-        prefix (as the general path would) and re-raises.
-        """
-        journal = self._journal
-        n = len(records)
-        if n == 0:
-            return None
-        now = self._now
-        events: list[Any] = []
-        kinds = bytearray(n)
-        times: list[float] = []
-        ids: list[int] = []
-        sizes: list[int] = []
-        works: list[float] = []
-        try:
-            for i, record in enumerate(records):
-                kind = record["kind"]
-                t = record["time"]
-                if type(t) is not float:
-                    t = float(t)
-                if t < now:
-                    return None
-                tid = record["id"]
-                if type(tid) is not int:
-                    tid = int(tid)
-                if kind == "arrival":
-                    size = record["size"]
-                    if type(size) is not int:
-                        size = int(size)
-                    work = record.get("work", 1.0)
-                    if type(work) is not float:
-                        work = float(work)
-                    events.append(
-                        Arrival(t, Task(TaskId(tid), size, t, work=work))
-                    )
-                    sizes.append(size)
-                    works.append(work)
-                elif kind == "departure":
-                    kinds[i] = 1
-                    events.append(Departure(t, TaskId(tid)))
-                    sizes.append(0)
-                    works.append(0.0)
-                else:
-                    return None
-                times.append(t)
-                ids.append(tid)
-                now = t
-        except (ReproError, KeyError, TypeError, ValueError):
-            return None
-
-        def commit(m: int) -> None:
-            if m == 0:
-                return
-            base = len(self._events)
-            self._events.extend(events[:m])
-            self._now = times[m - 1]
-            self._offered += m
-            nid = self._next_task_id
-            for j in range(m):
-                if kinds[j] == 0 and ids[j] >= nid:
-                    nid = ids[j] + 1
-            self._next_task_id = nid
-            if journal is None:
-                return
-            blob = encode_wire_columns(
-                kinds[:m], times[:m], ids[:m], sizes[:m], works[:m]
-            )
-            rider = self._batch_rider(base, m)
-            seq = self._journal_seq
-            extras = [] if rider is None else [(seq + m - 1, rider)]
-            journal.record_batch_blob(seq, m, blob, extras)
-            self._journal_seq = seq + m
-
-        try:
-            batch = self.kernel.apply_batch(events)
-        except BatchError as exc:
-            commit(exc.applied)
-            raise
-        commit(n)
-        return batch
-
-    def _commit_batch(self, pairs: list[tuple[Any, dict[str, Any]]]) -> None:
-        """Advance session state and journal one applied batch."""
-        if not pairs:
-            return
-        base = len(self._events)
-        for event, record in pairs:
-            self._events.append(event)
-            self._now = float(event.time)
-            self._offered += 1
-            tid = record.get("id")
-            if record["kind"] == "arrival" and tid is not None:
-                self._next_task_id = max(self._next_task_id, int(tid) + 1)
-        if self._journal is None:
-            return
-        payloads: list[tuple[int, dict[str, Any]]] = [
-            (self._journal_seq + i, {"record": record})
-            for i, (_, record) in enumerate(pairs)
-        ]
-        # Mid-batch kernel states no longer exist, so the snapshot (or
-        # delta) that per-event journaling would have embedded at the
-        # interval boundary rides on the batch's last record instead
-        # (resume verifies them wherever they appear).
-        rider = self._batch_rider(base, len(pairs))
-        if rider is not None:
-            payloads[-1][1].update(rider)
-        self._journal.record_many(payloads)
-        self._journal_seq += len(payloads)
+        return outcomes
 
     # -- Coordinator-routed intake (shard workers) ---------------------------
-
-    def _routed_event(self, record: dict[str, Any]) -> Any:
-        """Build the kernel event for one coordinator-routed record.
-
-        ``"placed"`` records admit an externally-placed task; ``"departure"``
-        records retire one.  The record dict is normalised in place (the
-        clock is stamped) and later journaled *verbatim*, so coordinator
-        metadata — the global sequence number ``gsn``, ``drain`` marks —
-        survives into the shard journal and resume.
-        """
-        kind = record.get("kind")
-        t = self._clock(record.get("time"))
-        record["time"] = t
-        if kind == "placed":
-            return Arrival(
-                t,
-                Task(
-                    TaskId(int(record["id"])), int(record["size"]), t,
-                    work=float(record.get("work", 1.0)),
-                ),
-            )
-        if kind == "departure":
-            return Departure(t, TaskId(int(record["id"])))
-        raise SimulationError(
-            f"record kind {kind!r} is not routable to a shard session"
-        )
 
     def push_routed_batch(
         self, records: Sequence[Mapping[str, Any]], *, want_decisions: bool = True
     ) -> list[Decision]:
         """Absorb a batch of coordinator-routed records, one group commit.
 
-        Bit-identical to absorbing each record on its own; the journal
-        absorbs the batch via :meth:`CheckpointJournal.record_many` (one
-        write, one fsync) — this is where sharded journaled throughput
-        comes from.  If a record fails, the applied prefix is journaled
-        (exactly as the per-record path would leave it) and the error
-        propagates.
-
-        Batches matching the hot routed schema take the columnar fast
-        path (:meth:`push_routed_columns`); ``want_decisions=False`` lets
-        that path skip materialising :class:`Decision` objects entirely
-        (shard workers discard them) and return ``[]``.
+        ``"placed"`` records admit an externally-placed task, departures
+        retire one; both are journaled verbatim, so coordinator metadata
+        (``gsn``, ``drain`` marks) survives into the shard journal and
+        resume.  Bit-identical to absorbing each record on its own; if a
+        record fails, the applied prefix is journaled and a
+        :class:`~repro.errors.BatchError` is raised, as for
+        :meth:`push_batch`.  Batches on the hot routed schema take the
+        columnar path (:meth:`push_routed_columns`).
         """
         cols = routed_columns_from_records(records)
         if cols is not None:
-            fast = self._push_routed_columns(cols, want_decisions)
-            if fast is not None:
-                return fast
-        applied: list[dict[str, Any]] = []
-        decisions: list[Decision] = []
-        base = len(self._events)
-        try:
-            for record in records:
-                norm = dict(record)
-                event = self._routed_event(norm)
-                if norm["kind"] == "placed":
-                    decision = self.kernel.apply_placed(
-                        event.time, event.task, NodeId(int(norm["node"]))
-                    )
-                else:
-                    decision = self.kernel.apply(event)
-                self._events.append(event)
-                self._now = float(event.time)
-                self._offered += 1
-                if norm["kind"] == "placed":
-                    self._next_task_id = max(
-                        self._next_task_id, int(norm["id"]) + 1
-                    )
-                applied.append(norm)
-                decisions.append(decision)
-        finally:
-            if applied and self._journal is not None:
-                payloads: list[tuple[int, dict[str, Any]]] = [
-                    (self._journal_seq + i, {"record": r})
-                    for i, r in enumerate(applied)
-                ]
-                rider = self._batch_rider(base, len(applied))
-                if rider is not None:
-                    payloads[-1][1].update(rider)
-                self._journal.record_many(payloads)
-                self._journal_seq += len(payloads)
-        return decisions
+            return self.push_routed_columns(cols, want_decisions=want_decisions)
+        return list(self._ingest_batch(self._normalise(records)).decisions)
 
     def push_routed_columns(
         self, cols: RoutedColumns, *, want_decisions: bool = False
     ) -> list[Decision]:
         """Absorb one decoded columnar routed batch (shard-worker intake).
 
-        The zero-re-encode twin of :meth:`push_routed_batch`: the columns
-        arrive straight off the coordinator wire frame and — when the
-        batch is eligible for the vectorized kernel path — the *same*
+        The columns arrive straight off the coordinator wire frame and —
+        when the batch is eligible for the vectorized kernel path
+        (:func:`~repro.kernel.columnar.apply_routed_columns`) — the *same*
         encoded blob is framed into the journal without materialising a
         single per-record dict.  Ineligible batches (clock regressions,
-        invalid placements) fall back to the per-record
-        path, which reproduces the exact error text and prefix semantics.
+        invalid placements) take the per-record path, which reproduces
+        the exact error text and prefix semantics.  ``want_decisions=False``
+        skips materialising :class:`Decision` objects (shard workers
+        discard them) and returns ``[]``.
         """
-        fast = self._push_routed_columns(cols, want_decisions)
-        if fast is not None:
-            return fast
-        decisions = self.push_routed_batch(cols.records())
-        return decisions if want_decisions else []
-
-    def _push_routed_columns(
-        self, cols: RoutedColumns, want_decisions: bool
-    ) -> Optional[list[Decision]]:
-        """Vectorized routed ingest; ``None`` (no state change) when the
-        batch must take the general per-record path."""
-        journal = self._journal
-        if self._slo is not None:
-            return None
-        n = cols.n
-        if n == 0:
-            return []
         times = cols.times
-        if times[0] < self._now:
-            return None
-        for i in range(1, n):
-            if times[i] < times[i - 1]:
-                return None
-        out = apply_routed_columns(self.kernel, cols, want_decisions)
+        ordered = all(a <= b for a, b in zip([self._now, *times], times))
+        out = (
+            apply_routed_columns(self.kernel, cols, want_decisions)
+            if ordered and self._slo is None else None
+        )
         if out is None:
-            return None
-        events, decisions = out
-        base = len(self._events)
-        self._events.extend(events)
-        self._now = times[n - 1]
-        self._offered += n
-        nid = self._next_task_id
-        kinds = cols.kinds
-        ids = cols.ids
-        for i in range(n):
-            if kinds[i] == 0 and ids[i] >= nid:
-                nid = ids[i] + 1
-        self._next_task_id = nid
-        if journal is not None:
-            rider = self._batch_rider(base, n)
-            seq = self._journal_seq
-            extras = [] if rider is None else [(seq + n - 1, rider)]
-            journal.record_batch_blob(seq, n, cols.encoded(), extras)
-            self._journal_seq = seq + n
+            result = self._ingest_batch(self._normalise(cols.records()))
+            return list(result.decisions) if want_decisions else []
+        batch = _Batch()
+        batch.events, decisions = out
+        batch.kinds, batch.times, batch.ids, batch.cols = cols.kinds, times, cols.ids, cols
+        self._commit(batch, cols.n, group=True)
         return decisions if want_decisions else []
-
-    def flush(self) -> None:
-        """Make buffered journal records durable (group-commit boundary).
-
-        A no-op without a journal or when nothing is pending; under the
-        ``always`` policy there is never anything to flush.
-        """
-        if self._journal is not None:
-            self._journal.commit()
-
-    def _absorb(
-        self, event: Any, record: dict[str, Any], *, journal: bool = True
-    ) -> Decision:
-        if record["kind"] == "placed":
-            # Coordinator-routed admission: the placement was decided by
-            # the sharded coordinator's global descent; this session only
-            # validates and books it (external-placement kernel mode).
-            decision = self.kernel.apply_placed(
-                event.time, event.task, NodeId(int(record["node"]))
-            )
-        else:
-            decision = self.kernel.apply(event)
-        # Only a successfully applied event advances the session.
-        self._events.append(event)
-        self._now = float(event.time)
-        if record.get("slo") != "dequeue":
-            # Drained arrivals were already counted when first offered.
-            self._offered += 1
-        tid = record.get("id")
-        if record["kind"] in ("arrival", "placed") and tid is not None:
-            self._next_task_id = max(self._next_task_id, int(tid) + 1)
-        if journal and self._journal is not None:
-            payload: dict[str, Any] = {"record": record}
-            rider = self._batch_rider(len(self._events) - 1, 1)
-            if rider is not None:
-                payload.update(rider)
-            self._journal.record(self._journal_seq, payload)
-            self._journal_seq += 1
-        return decision
 
     def _delta_state(self) -> dict[str, Any]:
         """O(1) digest of the session/kernel scalars, journaled between
@@ -1082,199 +904,94 @@ class AllocationSession:
             "peak_load": k.metrics.max_load,
         }
 
-    def _batch_rider(self, base: int, count: int) -> Optional[dict[str, Any]]:
-        """Snapshot/delta payload extras riding a batch's last record.
-
-        ``base`` is ``len(self._events)`` before the batch; a rider is due
-        when the batch crosses an interval boundary (for ``count == 1``
-        this is exactly the ``len % interval == 0`` schedule): a cheap
-        :meth:`_delta_state` on ``snapshot_interval`` crossings, a full
-        kernel snapshot on ``full_snapshot_interval`` crossings.
-        """
-        if self._journal is None or count <= 0:
-            return None
-        end = base + count
-        full = self._full_snapshot_interval
-        if full and end // full > base // full:
-            return {"snapshot": self.kernel.snapshot()}
-        interval = self._snapshot_interval
-        if interval and end // interval > base // interval:
-            return {"delta": self._delta_state()}
-        return None
-
     # -- Resume --------------------------------------------------------------
 
-    def _payload_record(self, payload: Any, index: int) -> dict[str, Any]:
-        try:
-            return dict(payload["record"])
-        except (TypeError, KeyError) as exc:
-            raise CheckpointError(
-                f"session journal {self._journal.path}: malformed record "
-                f"at event {index}"
-            ) from exc
-
     def _replay_journal(self) -> None:
-        assert self._journal is not None
-        completed = self._journal.completed()
+        """Rebuild the session from its journal through the ingest path.
+
+        The journal is detached meanwhile, so nothing is re-journaled.
+        Plain records replay in runs through :meth:`_apply`; a run ends at
+        every embedded snapshot/delta, which is verified against the
+        replayed state.  ``"slo"``-marked records re-apply the journaled
+        admission decision mechanically — enqueue, reject, cancel, or
+        admit the queue head — rather than re-deciding, so a resumed SLO
+        session reconstructs the exact queue and counters of the crashed
+        one.
+        """
+        journal = self._journal
+        assert journal is not None
+        completed = journal.completed()
         total = len(completed)
+        records: list[Mapping[str, Any]] = []
         for index in range(total):
             if index not in completed:
                 raise CheckpointError(
-                    f"session journal {self._journal.path} has a gap at "
+                    f"session journal {journal.path} has a gap at "
                     f"event {index}"
                 )
+            try:
+                records.append(completed[index]["record"])
+            except (TypeError, KeyError) as exc:
+                raise CheckpointError(
+                    f"session journal {journal.path}: malformed record "
+                    f"at event {index}"
+                ) from exc
         # Find the reconciliation cutoff before touching any state, so
         # the snapshot fast-forward below can never restore past it.
         stop = total
         if self._replay_stop is not None:
-            for index in range(total):
-                if self._replay_stop(self._payload_record(completed[index], index)):
-                    stop = index
-                    break
-        start = 0
-        if self.algorithm is None and self._slo is None:
-            start = self._fast_forward(completed, stop)
-        for index in range(start, stop):
-            payload = completed[index]
-            self.push_replay(self._payload_record(payload, index))
-            embedded = payload.get("snapshot")
-            if embedded is not None:
-                replayed = self.kernel.snapshot()
-                if _state_digest(replayed) != _state_digest(embedded):
-                    raise CheckpointError(
-                        f"session journal {self._journal.path}: replayed state "
-                        f"diverges from the snapshot embedded at event {index} "
-                        "— the journal was written by a different "
-                        "configuration or build"
-                    )
-            delta = payload.get("delta")
-            if delta is not None and self._delta_state() != delta:
-                raise CheckpointError(
-                    f"session journal {self._journal.path}: replayed state "
-                    f"diverges from the delta embedded at event {index} "
-                    "— the journal was written by a different "
-                    "configuration or build"
-                )
+            stop = next(
+                (i for i, r in enumerate(records) if self._replay_stop(r)), total
+            )
+        self._journal = None
+        try:
+            start = 0
+            if self.algorithm is None and self._slo is None:
+                start = self._fast_forward(completed, records, stop)
+            run: list[Mapping[str, Any]] = []
+            for index in range(start, stop):
+                if self._slo is None:
+                    run.append(records[index])
+                else:
+                    self._replay_admission(records[index])
+                payload = completed[index]
+                if "snapshot" in payload or "delta" in payload:
+                    self._replay_run(run)
+                    self._verify_rider(journal, payload, index)
+            self._replay_run(run)
+        finally:
+            self._journal = journal
         if stop < total:
             # Distributed durable-prefix reconciliation: the sharded
             # coordinator computed a global cutoff and everything past
             # it must be discarded — physically, so a later resume
             # never sees the dropped tail.
-            self._journal.drop_tail(stop)
-            self._journal_seq = stop
-        else:
-            self._journal_seq = total
+            journal.drop_tail(stop)
+        self._journal_seq = stop
 
-    def _fast_forward(self, completed: Mapping[int, Any], stop: int) -> int:
-        """Resume an external-placement session from its last full
-        snapshot instead of replaying every event through the kernel.
+    def _replay_run(self, run: list[Mapping[str, Any]]) -> None:
+        """Re-apply a run of journaled plain records (and empty it)."""
+        if not run:
+            return
+        batch = self._normalise(run)
+        if batch.error is not None:
+            raise batch.error
+        self._apply(batch)
+        self._commit(batch, len(run))
+        run.clear()
 
-        Only sessions with no algorithm and no SLO are eligible: with
-        nothing but the kernel to reconstruct, the snapshot *is* the
-        state, and the session-level bookkeeping (event log, clock,
-        counters) rebuilds from the journaled records without touching
-        the kernel.  Returns the replay start index — ``0`` (full
-        replay) when no usable snapshot precedes ``stop`` or any record
-        before it falls outside the routed/wire schema.
-        """
-        snap_at = -1
-        for index in range(stop - 1, -1, -1):
-            payload = completed[index]
-            if isinstance(payload, Mapping) and payload.get("snapshot"):
-                snap_at = index
-                break
-        if snap_at < 0:
-            return 0
-        events: list[Any] = []
-        now = 0.0
-        next_id = 0
-        for index in range(snap_at + 1):
-            record = self._payload_record(completed[index], index)
-            kind = record.get("kind")
-            t = record.get("time")
-            if type(t) is not float or record.get("slo") is not None:
-                return 0
-            if kind in ("arrival", "placed"):
-                try:
-                    tid = int(record["id"])
-                    task = Task(
-                        TaskId(tid), int(record["size"]), t,
-                        work=float(record.get("work", 1.0)),
-                    )
-                except (KeyError, TypeError, ValueError):
-                    return 0
-                events.append(Arrival(t, task))
-                next_id = max(next_id, tid + 1)
-            elif kind == "departure":
-                try:
-                    events.append(Departure(t, TaskId(int(record["id"]))))
-                except (KeyError, TypeError, ValueError):
-                    return 0
-            else:
-                return 0
-            now = t
-        self.kernel.restore(completed[snap_at]["snapshot"])
-        self._events = events
-        self._now = now
-        self._offered = snap_at + 1
-        self._next_task_id = next_id
-        return snap_at + 1
-
-    def push_replay(self, record: Mapping[str, Any]) -> Optional[Decision]:
-        """Absorb a journaled record without re-journaling it.
-
-        ``"slo"``-marked records re-apply the journaled admission
-        decision mechanically — enqueue, reject, cancel, or admit the
-        queue head — rather than re-deciding, so a resumed SLO session
-        reconstructs the exact queue and counters of the crashed one.
-        """
-        kind = record.get("kind")
-        mark = record.get("slo")
-        if mark is not None:
-            return self._replay_slo(str(mark), record)
-        if kind == "arrival":
-            t = self._clock(record.get("time"))
-            tid = int(record["id"])
-            task = Task(
-                TaskId(tid), int(record["size"]), t,
-                work=float(record.get("work", 1.0)),
-            )
-            decision = self._absorb(
-                Arrival(t, task), dict(record), journal=False
-            )
-            if self._slo is not None:
-                self._slo.revive(tid)
-                self._slo.admitted_total += 1
-                self._note_violation(decision)
-            return decision
-        if kind == "placed":
-            norm = dict(record)
-            return self._absorb(self._routed_event(norm), norm, journal=False)
-        if kind == "departure" and "gsn" in record:
-            # A coordinator-routed departure: replay it verbatim so the
-            # shard clock follows the global timestamps.
-            norm = dict(record)
-            return self._absorb(self._routed_event(norm), norm, journal=False)
-        if kind in ("departure", "kill", "failure", "repair", "resize"):
-            # Rebuild through the normal constructors, minus journaling.
-            journal, self._journal = self._journal, None
-            try:
-                return self._apply_record(record)
-            finally:
-                self._journal = journal
-        raise CheckpointError(f"journaled record has unknown kind {kind!r}")
-
-    def _replay_slo(
-        self, mark: str, record: Mapping[str, Any]
-    ) -> Optional[Decision]:
+    def _replay_admission(self, record: Mapping[str, Any]) -> None:
+        """Re-apply one journaled record of an SLO session."""
         ctrl = self._slo
-        if ctrl is None:
-            raise CheckpointError(
-                "journal contains SLO admission records but the session "
-                "was opened without an SLO policy"
-            )
-        t = float(record["time"])
-        if mark == "dequeue":
+        assert ctrl is not None
+        batch = self._normalise((record,))
+        mark = record.get("slo")
+        if mark is None and batch.error is None and batch.kinds[0] == _ARRIVAL:
+            ctrl.revive(batch.ids[0])
+            self._admit(batch)
+        elif mark is None:
+            self._step(batch)
+        elif mark == "dequeue":
             head = ctrl.head()
             if head is None or int(head["id"]) != int(record["id"]):
                 raise CheckpointError(
@@ -1282,35 +999,63 @@ class AllocationSession:
                     f"match the replayed queue head "
                     f"({None if head is None else head['id']})"
                 )
-            norm = dict(ctrl.pop())
-            norm["time"] = t
-            task = Task(
-                TaskId(int(norm["id"])), int(norm["size"]), t,
-                work=float(norm.get("work", 1.0)),
-            )
-            decision = self._absorb(
-                Arrival(t, task), dict(norm, slo="dequeue"), journal=False
-            )
-            ctrl.admitted_total += 1
-            ctrl.drained_total += 1
-            self._note_violation(decision)
-            return decision
-        self._now = t
-        self._offered += 1
-        if mark == "queue":
-            norm = {k: v for k, v in record.items() if k != "slo"}
-            ctrl.revive(int(record["id"]))
-            ctrl.enqueue(norm)
-            self._next_task_id = max(self._next_task_id, int(record["id"]) + 1)
-            return None
-        if mark == "reject":
-            ctrl.reject(int(record["id"]))
-            self._next_task_id = max(self._next_task_id, int(record["id"]) + 1)
-            return None
-        if mark == "cancel":
-            ctrl.cancel(int(record["id"]))
-            return None
-        raise CheckpointError(f"journaled record has unknown slo mark {mark!r}")
+            ctrl.pop()
+            self._admit(batch, "dequeue")
+        elif mark in ("queue", "reject", "cancel"):
+            if batch.error is not None:
+                raise batch.error
+            self._hold(batch, str(mark))
+        else:
+            raise CheckpointError(f"journaled record has unknown slo mark {mark!r}")
+
+    def _verify_rider(
+        self, journal: CheckpointJournal, payload: Mapping[str, Any], index: int
+    ) -> None:
+        """Check the replayed state against an embedded snapshot/delta."""
+        checks = (
+            ("snapshot", lambda snap: _state_digest(snap)
+             == _state_digest(self.kernel.snapshot())),
+            ("delta", lambda delta: delta == self._delta_state()),
+        )
+        for key, holds in checks:
+            embedded = payload.get(key)
+            if embedded is not None and not holds(embedded):
+                raise CheckpointError(
+                    f"session journal {journal.path}: replayed state "
+                    f"diverges from the {key} embedded at event {index} "
+                    "— the journal was written by a different "
+                    "configuration or build"
+                )
+
+    def _fast_forward(
+        self,
+        completed: Mapping[int, Any],
+        records: list[Mapping[str, Any]],
+        stop: int,
+    ) -> int:
+        """Resume an external-placement session from its last full
+        snapshot instead of replaying every event through the kernel.
+
+        Only sessions with no algorithm and no SLO are eligible: with
+        nothing but the kernel to reconstruct, the snapshot *is* the
+        state, and the session-level bookkeeping (event log, clock,
+        counters) is committed from the normalised journal records
+        without touching the kernel.  Returns the replay start index —
+        ``0`` (full replay) when no usable snapshot precedes ``stop`` or
+        any record before it does not normalise.
+        """
+        snap_at = next(
+            (i for i in range(stop - 1, -1, -1) if completed[i].get("snapshot")),
+            -1,
+        )
+        if snap_at < 0:
+            return 0
+        batch = self._normalise(records[: snap_at + 1])
+        if batch.error is not None:
+            return 0
+        self.kernel.restore(completed[snap_at]["snapshot"])
+        self._commit(batch, snap_at + 1)
+        return snap_at + 1
 
     # -- Live metrics --------------------------------------------------------
 

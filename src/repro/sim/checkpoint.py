@@ -157,10 +157,9 @@ class CheckpointJournal:
         self._last_sync = time.monotonic()
         self._digest = _fingerprint_digest(fingerprint)
         self._fingerprint = dict(fingerprint)
+        # What the file held at open; records written since live only in
+        # the file (a journal must not keep a RAM copy of its history).
         self._completed: dict[int, Any] = {}
-        # Highest index ever journaled — tracked separately from
-        # ``_completed`` because the batch-blob fast path appends without
-        # materializing per-record payloads.
         self._max_index = -1
         self._fh = None
         if self.path.exists():
@@ -282,7 +281,6 @@ class CheckpointJournal:
         """
         if self._fh is None:
             raise CheckpointError(f"checkpoint {self.path} is closed")
-        self._completed[int(index)] = value
         self._max_index = max(self._max_index, int(index))
         self._append(_pickle_frame(int(index), value), 1, group=False)
 
@@ -301,8 +299,6 @@ class CheckpointJournal:
         if not items:
             return
         blob = _frame_items(items)
-        for index, value in items:
-            self._completed[int(index)] = value
         self._max_index = max(self._max_index, items[-1][0])
         self._append(blob, len(items), group=True)
 
@@ -321,9 +317,7 @@ class CheckpointJournal:
         relaying coordinator bytes) frames the blob directly, never
         materializing per-record dicts.  ``extras`` are
         ``(index, extra_dict)`` riders — snapshots, deltas — merged into
-        the payload at ``index`` on load.  Unlike :meth:`record` /
-        :meth:`record_many`, this does **not** populate
-        :meth:`completed`; a later open reads the records back from disk.
+        the payload at ``index`` on load.
 
         Same durability contract as :meth:`record_many`.
         """
@@ -335,12 +329,11 @@ class CheckpointJournal:
         )
 
     def completed(self) -> dict[int, Any]:
-        """Cell index -> result for every journaled cell.
+        """Cell index -> result for every cell the file held at open.
 
-        Populated from disk on open and kept current by :meth:`record` /
-        :meth:`record_many`; records appended through
-        :meth:`record_batch_blob` live only in the file until the next
-        open.
+        Read once from disk (minus anything :meth:`drop_tail` discarded);
+        records written through this handle are not kept in memory and
+        show up on the next open.
         """
         return dict(self._completed)
 
@@ -385,7 +378,7 @@ class CheckpointJournal:
             for index, value in self._completed.items()
             if index < first_index
         }
-        self._max_index = max(self._completed, default=-1)
+        self._max_index = min(self._max_index, first_index - 1)
         self._fh = open(self.path, "ab")
         self._pending = 0
         self._pending_bytes = 0

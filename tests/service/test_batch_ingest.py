@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core.registry import make_algorithm
-from repro.errors import BatchError
+from repro.errors import BatchError, ReproError
 from repro.machines.tree import TreeMachine
 from repro.service import AllocationSession, sequence_records
 from repro.workloads.generators import churn_sequence, poisson_sequence
@@ -112,6 +112,84 @@ class TestPushBatchEquivalence:
         got = list(batched.push_batch(script).decisions)
         assert got == expected
         assert _digest(batched.snapshot()) == _digest(serial.snapshot())
+
+
+def _mixed_script(seed, length=160):
+    """Wire records for a fault-tolerant session: implicit and explicit
+    times and ids, departures, kills, failures/repairs, a grow and a
+    shrink, and one invalid record at a random position."""
+    rng = np.random.default_rng(seed)
+    records, explicit, failed = [], [], []
+    for step in range(length):
+        u = rng.random()
+        if u < 0.45 or not explicit:
+            rec = {"kind": "arrival", "size": int(2 ** rng.integers(0, 3))}
+            if rng.random() < 0.5:
+                rec["id"] = 1000 + 10 * step
+                explicit.append(rec["id"])
+        elif u < 0.8:
+            rec = {"kind": "departure", "id": explicit.pop(int(rng.integers(len(explicit))))}
+        elif u < 0.85:
+            rec = {"kind": "kill", "id": explicit.pop(int(rng.integers(len(explicit))))}
+        elif u < 0.9 or not failed:
+            failed.append(int(rng.integers(8, 32)))
+            rec = {"kind": "failure", "node": failed[-1]}
+        elif u < 0.95:
+            rec = {"kind": "repair", "node": failed.pop(0)}
+        else:
+            rec = {"kind": "resize", "op": str(rng.choice(["grow", "shrink"])), "factor": 2}
+        if rng.random() < 0.5:
+            rec["time"] = 10.0 * step
+        records.append(rec)
+    bad = [
+        {"kind": "nonsense"},
+        {"kind": "departure", "id": 999_999},             # unknown task
+        {"kind": "arrival", "size": 1, "time": -1.0},      # clock regression
+        {"kind": "failure"},                               # missing node
+    ][int(rng.integers(4))]
+    records.insert(int(rng.integers(len(records))), bad)
+    return records
+
+
+class TestMixedBatchParity:
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_journaled_mixed_batches_match_per_event_push(self, tmp_path, backend, seed):
+        """Random batch splits of a mixed stream decide, report and resume
+        exactly like per-event pushes; an invalid record (rejected alone
+        on the per-event path) surfaces as a BatchError with the prefix
+        applied, and the client carries on with the rest of its batch."""
+        records = _mixed_script(seed)
+        kw = dict(fault_tolerant=True, snapshot_interval=3, batch_backend=backend)
+        serial = _session(n=16, journal_path=tmp_path / "serial.j", **kw)
+        expected = []
+        for rec in records:
+            try:
+                expected.append(serial.push(dict(rec)))
+            except (ReproError, KeyError):
+                pass  # rejected alone, no state change
+        batched = _session(
+            n=16, journal_path=tmp_path / "batched.j", fsync_policy="batch", **kw
+        )
+        got, pending = [], list(records)
+        rng = np.random.default_rng(seed + 100)
+        while pending:
+            k = int(rng.integers(1, 12))
+            chunk, pending = pending[:k], pending[k:]
+            try:
+                got.extend(batched.push_batch(chunk).decisions)
+            except BatchError as exc:
+                got.extend(exc.decisions)
+                pending = chunk[exc.applied + 1:] + pending
+        assert got == expected
+        assert batched.status() == serial.status()
+        assert _digest(batched.snapshot()) == _digest(serial.snapshot())
+        want = _digest(serial.snapshot())
+        serial.close(), batched.close()
+        for name in ("serial.j", "batched.j"):
+            resumed = _session(n=16, journal_path=tmp_path / name, **kw)
+            assert _digest(resumed.snapshot()) == want
+            resumed.close()
 
 
 class TestPushBatchFailure:

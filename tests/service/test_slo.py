@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.core.registry import make_algorithm
-from repro.errors import SimulationError
+from repro.errors import BatchError, SimulationError
 from repro.machines.tree import TreeMachine
 from repro.service import (
     Admit,
@@ -297,6 +297,29 @@ class TestBackpressure:
             s.push_batch(records[:5] + [{"kind": "bogus"}])
         assert s.num_events == 5 and s.journal_pending == 0
         s.close()
+
+    def test_push_batch_failure_reports_the_applied_prefix(self, tmp_path):
+        """A gated batch that fails part-way raises BatchError carrying the
+        applied prefix and its outcomes, as an ungated push_batch does."""
+        slo = SLOPolicy(slowdown_target=4.0, queue_capacity=8)
+        path = tmp_path / "prefix.j"
+        s = _session(n=64, slo=slo, journal_path=path, fsync_policy="batch")
+        records = [
+            {"kind": "arrival", "size": 1, "id": 0, "time": 0.0},
+            {"kind": "arrival", "size": 1, "id": 1, "time": 1.0},
+            {"kind": "departure", "id": 99, "time": 2.0},  # unknown task
+            {"kind": "arrival", "size": 1, "id": 2, "time": 3.0},
+        ]
+        with pytest.raises(BatchError, match="batch record 2") as info:
+            s.push_batch(records)
+        assert info.value.applied == 2
+        assert [o.verdict for o in info.value.decisions] == ["admit", "admit"]
+        assert s.num_offers == 2 and s.journal_pending == 0
+        want = s.status()
+        s.close()
+        resumed = _session(n=64, slo=slo, journal_path=path)
+        assert resumed.status() == want
+        resumed.close()
 
     def test_no_journal_means_never_overloaded(self):
         slo = SLOPolicy(slowdown_target=1.0, high_watermark=1, low_watermark=1)

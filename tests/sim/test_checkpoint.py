@@ -53,7 +53,20 @@ class TestRecordAndResume:
         with CheckpointJournal(path, fingerprint=FP) as journal:
             journal.record(0, "old")
             journal.record(0, "new")
+        with CheckpointJournal(path, fingerprint=FP) as journal:
             assert journal.completed()[0] == "new"
+
+    def test_completed_is_what_the_file_held_at_open(self, tmp_path):
+        """Records written through a handle are not kept in memory: they
+        show up in ``completed()`` on the next open, not before."""
+        path = tmp_path / "j.ckpt"
+        with CheckpointJournal(path, fingerprint=FP) as journal:
+            journal.record(0, "a")
+            journal.record_many([(1, "b"), (2, "c")])
+            assert journal.completed() == {}
+        with CheckpointJournal(path, fingerprint=FP) as journal:
+            journal.record(3, "d")
+            assert journal.completed() == {0: "a", 1: "b", 2: "c"}
 
     def test_closed_journal_refuses_records(self, tmp_path):
         journal = CheckpointJournal(tmp_path / "j.ckpt", fingerprint=FP)
@@ -255,6 +268,7 @@ class TestDropTail:
             journal.record_many(items[8:])
             journal.record(12, "tail")
             journal.drop_tail(5)
+        with CheckpointJournal(path, fingerprint=FP) as journal:
             assert journal.completed() == dict(items[:5])
             journal.record(5, "after")
         # The split batch survives as per-record frames, its in-range
@@ -265,6 +279,19 @@ class TestDropTail:
         )
         with CheckpointJournal(path, fingerprint=FP) as journal:
             assert journal.completed() == {**dict(items[:5]), 5: "after"}
+
+    def test_second_cut_below_the_first_still_truncates(self, tmp_path):
+        """A cut lowers the highest journaled index, so a later, lower cut
+        on the same handle is not mistaken for a no-op."""
+        path = tmp_path / "j.ckpt"
+        with CheckpointJournal(path, fingerprint=FP) as journal:
+            journal.record_many([(i, f"v{i}") for i in range(10)])
+            journal.drop_tail(5)
+            journal.drop_tail(7)  # nothing at or past 7 is left: no-op
+            journal.drop_tail(2)
+            journal.record(2, "after")
+        with CheckpointJournal(path, fingerprint=FP) as journal:
+            assert journal.completed() == {0: "v0", 1: "v1", 2: "after"}
 
     def test_nothing_at_or_past_the_cut_is_a_no_op(self, tmp_path):
         path = tmp_path / "j.ckpt"
